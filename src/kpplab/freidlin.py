@@ -2,14 +2,12 @@
 
 For gamma above the self-adjoint principal eigenvalue, the linear problem
 (a phi')' + c phi = gamma phi has a unique positive decaying solution whose
-exponential decay rate mu(gamma) is computed here without ever forming phi:
-the substitution w = a phi'/phi turns the problem into the Riccati equation
-
-    w' = gamma - c - w^2 / a,
-
-whose decaying branch w ~ -sqrt(a (gamma - c)) is attracting under backward
-integration.  Averaging -w/a over the window yields mu, and the speed is the
-minimum of gamma / mu(gamma).
+exponential decay rate mu(gamma) is computed here without ever forming phi.
+On the periodized window, mu is the Floquet exponent of the problem: the
+pair (phi, a phi') is carried across each short cell of the window by the
+exact 2x2 propagator of the constant-coefficient equation, and mu is the log
+of the spectral radius of the product over one period, divided by X.  The
+speed is the minimum of gamma / mu(gamma).
 """
 
 from __future__ import annotations
@@ -25,66 +23,17 @@ from . import operators as ops
 from .optimize import BracketFailure, bracket_min, golden_section_min
 from .results import SpeedEstimate
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
 
 class GammaBelowThreshold(ValueError):
     """gamma too low: below Lambda_1 + margin or not above max c."""
 
 
 class StepTooCoarse(RuntimeError):
-    """An RK4 stage moved w by more than 20% of its magnitude."""
-
-    def __init__(self, x: float, step: float):
-        super().__init__(f"RK4 step {step:g} too coarse near x={x:g}")
-        self.x = x
-        self.step = step
+    """ode_step wider than the grid spacing h: a cell skips field detail."""
 
 
 def default_margin(lambda1: float) -> float:
     return 0.05 * abs(lambda1) + 1e-3
-
-
-def _rk4_backward_py(avals, cvals, gamma, step, w0):
-    """Reference implementation of the backward Riccati sweep.
-
-    Integrates w' = gamma - c - w^2/a from the first grid point toward the
-    last (decreasing x); avals/cvals sample the fields at half-step spacing.
-    w0 = nan selects the decaying-branch initializer -sqrt(a (gamma - c)).
-    """
-    nsteps = (len(avals) - 1) // 2
-    w = w0 if not np.isnan(w0) else -np.sqrt(avals[0] * (gamma - cvals[0]))
-    ws = np.empty(nsteps + 1)
-    ws[0] = w
-    hs = -step
-    bad = -1.0
-    for j in range(nsteps):
-        a0, c0 = avals[2 * j], cvals[2 * j]
-        am, cm = avals[2 * j + 1], cvals[2 * j + 1]
-        a1, c1 = avals[2 * j + 2], cvals[2 * j + 2]
-        k1 = gamma - c0 - w * w / a0
-        w2 = w + 0.5 * hs * k1
-        k2 = gamma - cm - w2 * w2 / am
-        w3 = w + 0.5 * hs * k2
-        k3 = gamma - cm - w3 * w3 / am
-        w4 = w + hs * k3
-        k4 = gamma - c1 - w4 * w4 / a1
-        move = step * max(abs(k1), abs(k2), abs(k3), abs(k4))
-        if move > 0.2 * abs(w):
-            bad = float(j)
-            break
-        w = w + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ws[j + 1] = w
-    return ws, bad
-
-
-if njit is not None:
-    _rk4_backward = njit(cache=True)(_rk4_backward_py)
-else:  # pragma: no cover
-    _rk4_backward = _rk4_backward_py
 
 
 def _lambda1(m: med.MediumRealization, tol: float = 1e-8) -> float:
@@ -94,22 +43,30 @@ def _lambda1(m: med.MediumRealization, tol: float = 1e-8) -> float:
 def riccati_mu(m: med.MediumRealization, gamma: float,
                ode_step: float | None = None,
                lambda1_estimate: float | None = None) -> float:
-    """Lyapunov exponent mu(gamma) by stable-branch backward integration.
+    """Lyapunov exponent mu(gamma) from the transfer-matrix product.
 
-    Integrates w from x = X down to 0 with RK4 at ode_step (default h/2),
-    starting on the decaying branch w(X) = -sqrt(a(X)(gamma - c(X))), then
-    continues for a second full sweep through the (periodic) window starting
-    from the relaxed value; mu is -1 times the average of w/a over the second
-    sweep.  Discarding the whole first sweep removes the initializer
-    transient, and averaging over exactly one period removes the O(corr/X)
-    sampling bias a partial window would leave (the converged w is X-periodic
-    here).  Requires gamma > Lambda_1 + margin and gamma > max c (the
-    square-root initializer and the branch structure fail otherwise).
+    The window is split into n = ceil(X / ode_step) cells (default ode_step
+    h/2) with a and c frozen at each cell midpoint.  A cell of width s maps
+    (phi, a phi') by the exact propagator
+
+        [[cosh ks, sinh ks / (a k)], [a k sinh ks, cosh ks]]
+
+    with k = sqrt((gamma - c) / a), which has determinant 1 and positive
+    entries.  The n matrices are multiplied by pairwise tree reduction;
+    after each level every partial product is divided by its largest entry
+    and the log of that scale is carried, so windows whose product exceeds
+    the float range stay finite.  mu = log rho(P) / X, rho the spectral
+    radius of the one-period product P; the determinant is 1, so the growing
+    and the decaying solutions share the rate.  Requires gamma > Lambda_1 +
+    margin and gamma > max c (GammaBelowThreshold otherwise), and
+    ode_step <= h (StepTooCoarse otherwise).
     """
     if ode_step is None:
         ode_step = m.h / 2.0
     if ode_step <= 0:
         raise ValueError("ode_step must be positive")
+    if ode_step > m.h:
+        raise StepTooCoarse(f"ode_step {ode_step:g} > grid spacing h={m.h:g}")
     lam1 = _lambda1(m) if lambda1_estimate is None else lambda1_estimate
     margin = default_margin(lam1)
     if gamma <= lam1 + margin:
@@ -118,22 +75,34 @@ def riccati_mu(m: med.MediumRealization, gamma: float,
     c_max = float(np.max(m.c))
     if gamma <= c_max:
         raise GammaBelowThreshold(
-            f"gamma={gamma:g} <= max c = {c_max:g}: sqrt initializer undefined")
+            f"gamma={gamma:g} <= max c = {c_max:g}: cells would oscillate")
 
-    nsteps = int(np.ceil(m.X / ode_step))
-    step = m.X / nsteps
-    xs = m.X - 0.5 * step * np.arange(2 * nsteps + 1)
-    avals = med.field_at(m, "a", xs)
-    cvals = med.field_at(m, "c", xs)
-    relax, bad = _rk4_backward(avals, cvals, gamma, step, np.nan)
-    if bad >= 0:
-        raise StepTooCoarse(float(m.X - bad * step), step)
-    ws, bad = _rk4_backward(avals, cvals, gamma, step, relax[-1])
-    if bad >= 0:
-        raise StepTooCoarse(float(m.X - bad * step), step)
-    # second-sweep endpoints x_j = X - j*step, j = 1..n: one exact period
-    a_nodes = avals[::2]
-    return float(-np.mean(ws[1:] / a_nodes[1:]))
+    n = int(np.ceil(m.X / ode_step))
+    step = m.X / n
+    xs = step * (np.arange(n) + 0.5)
+    a = med.field_at(m, "a", xs)
+    k = np.sqrt((gamma - med.field_at(m, "c", xs)) / a)
+    cosh, sinh = np.cosh(k * step), np.sinh(k * step)
+    mats = np.empty((n, 2, 2))
+    mats[:, 0, 0] = mats[:, 1, 1] = cosh
+    mats[:, 0, 1] = sinh / (a * k)
+    mats[:, 1, 0] = a * k * sinh
+    log_scale = 0.0
+    while len(mats) > 1:
+        # cell j + 1 acts after cell j; an odd leftover stays last
+        prod = mats[1::2] @ mats[:-1:2]
+        if len(mats) % 2:
+            prod = np.concatenate([prod, mats[-1:]])
+        # elementwise maximum of the four entries (a reduction over the tiny
+        # trailing axes is several times slower)
+        scale = np.maximum.reduce([prod[:, 0, 0], prod[:, 0, 1],
+                                   prod[:, 1, 0], prod[:, 1, 1]])
+        log_scale += float(np.log(scale).sum())
+        mats = prod / scale[:, None, None]
+    (p00, p01), (p10, p11) = mats[0]
+    trace, det = p00 + p11, p00 * p11 - p01 * p10
+    rho = 0.5 * (trace + np.sqrt(max(trace * trace - 4.0 * det, 0.0)))
+    return float((log_scale + np.log(rho)) / m.X)
 
 
 @dataclass(frozen=True)
@@ -227,35 +196,3 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4,
             "bracket_at_exclusion_boundary": bool(at_boundary),
         })
 
-
-def roundtrip_error(m: med.MediumRealization, gamma: float,
-                    ode_step: float | None = None) -> float:
-    """Forward re-integration diagnostic (the unstable direction).
-
-    Integrates the Riccati equation forward from the converged w(0) and
-    returns the relative mismatch at x = X.  Useful only on well-conditioned
-    gamma and short windows; not an acceptance gate.
-    """
-    if ode_step is None:
-        ode_step = m.h / 2.0
-    lam1 = _lambda1(m)
-    nsteps = int(np.ceil(m.X / ode_step))
-    step = m.X / nsteps
-    xs = m.X - 0.5 * step * np.arange(2 * nsteps + 1)
-    avals = med.field_at(m, "a", xs)
-    cvals = med.field_at(m, "c", xs)
-    margin = default_margin(lam1)
-    if gamma <= lam1 + margin or gamma <= float(np.max(m.c)):
-        raise GammaBelowThreshold(f"gamma={gamma:g} out of range")
-    ws, bad = _rk4_backward(avals, cvals, gamma, step, np.nan)
-    if bad >= 0:
-        raise StepTooCoarse(float(m.X - bad * step), step)
-    # forward sweep reuses the same kernel on reversed field arrays with the
-    # sign of w flipped: v(y) = -w(X - y) satisfies v' = gamma - c~ - v^2/a~
-    # for the reversed coefficients, and starts from the converged w(0)
-    ws_fwd, bad = _rk4_backward(avals[::-1].copy(), cvals[::-1].copy(),
-                                gamma, step, -ws[-1])
-    if bad >= 0:
-        raise StepTooCoarse(float(bad * step), step)
-    w_fwd_at_X = -ws_fwd[-1]
-    return float(abs(w_fwd_at_X - ws[0]) / abs(ws[0]))

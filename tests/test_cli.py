@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from kpplab import cli
+from kpplab import freidlin as fr
+from kpplab.optimize import BracketFailure
 
 
 def write_config(tmp_path, **kw):
@@ -105,4 +107,14 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
                        pde={"h": 0.05, "T": 100.0, "dt": 0.05,
                             "snapshot_every": 1.0, "fit_fraction": 0.5})
     assert run(tmp_path, "pde", "speed", cfg=cfg) == 4
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_bracket_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise BracketFailure(1.0, 2.0, 8)
+
+    monkeypatch.setattr(fr, "speed_freidlin", fail)
+    cfg = write_config(tmp_path)
+    assert run(tmp_path, "freidlin", "speed", cfg=cfg) == 4
     assert "numerical failure" in capsys.readouterr().err
