@@ -34,8 +34,6 @@ from .optimize import BracketFailure, bracket_min, golden_section_min
 from .results import SpeedEstimate
 from .tridiag import CyclicTridiagonalSolver
 
-_DENSE_CUTOFF = 192
-
 
 class PositivityViolation(ValueError):
     """Tilt too large for the grid: an off-diagonal entry would be <= 0."""
@@ -80,22 +78,23 @@ class DiscreteOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.sub * np.roll(v, 1) + self.diag * v + self.sup * np.roll(v, -1)
 
-    def dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        idx = np.arange(self.N)
-        a[idx, (idx - 1) % self.N] += self.sub
-        a[idx, (idx + 1) % self.N] += self.sup
-        return a
-
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Principal eigenvalue with positive eigenfunction (max-normalized)."""
+    """Principal eigenvalue with positive eigenfunction (max-normalized).
+
+    ``iters`` counts inverse-iteration sweeps plus the Krylov dimension of
+    each Arnoldi jump; ``refactorizations`` counts the shift updates that
+    rebuilt the cyclic factorization after the first one; ``jumps`` counts
+    Arnoldi jumps.
+    """
 
     lam: float
     phi: np.ndarray
     residual: float
     iters: int
+    refactorizations: int
+    jumps: int
     p: float
     N: int
     h: float
@@ -110,6 +109,8 @@ class EigenResult:
             "lambda": self.lam,
             "residual": self.residual,
             "iters": self.iters,
+            "refactorizations": self.refactorizations,
+            "jumps": self.jumps,
             "p": self.p,
             "N": self.N,
             "h": self.h,
@@ -157,19 +158,14 @@ def assemble_symmetric(m: med.MediumRealization, potential: np.ndarray) -> Discr
     return _assemble(m, 0.0, potential)
 
 
-def rayleigh_quotient(op: DiscreteOperator, v: np.ndarray) -> float:
-    av = op.matvec(v)
-    return float(np.dot(v, av) / np.dot(v, v))
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Inner product by numpy's own loop, not BLAS.
 
-
-def _dense_principal(op: DiscreteOperator) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eig(op.dense())
-    i = int(np.argmax(vals.real))
-    lam = float(vals[i].real)
-    v = vecs[:, i].real
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return lam, v
+    OpenBLAS hands a ddot on a sweep's 10^4-10^5 entries to its helper
+    threads, so suite workers that each called it would put more busy
+    threads than cores on the machine and run slower than one worker.
+    """
+    return float(np.einsum("i,i->", x, y))
 
 
 def _arnoldi_jump(solver, v, dim):
@@ -178,28 +174,26 @@ def _arnoldi_jump(solver, v, dim):
     Returns the dominant Ritz vector; a Krylov space of modest dimension
     resolves the near-degenerate clusters that stall plain inverse iteration.
     """
-    n = v.shape[0]
-    q = v / np.linalg.norm(v)
-    Q = [q]
+    Q = np.empty((dim + 1, v.shape[0]))
+    Q[0] = v / np.sqrt(_dot(v, v))
     H = np.zeros((dim + 1, dim))
     m = dim
     for j in range(dim):
         w = solver.solve(Q[j])
         for _ in range(2):  # modified Gram-Schmidt with one reorthogonalization
             for i in range(j + 1):
-                c = np.dot(Q[i], w)
+                c = _dot(Q[i], w)
                 H[i, j] += c
                 w -= c * Q[i]
-        beta = np.linalg.norm(w)
+        beta = np.sqrt(_dot(w, w))
         H[j + 1, j] = beta
         if beta <= 1e-14 * max(1.0, abs(H[j, j])):
             m = j + 1
             break
-        Q.append(w / beta)
+        Q[j + 1] = w / beta
     theta, S = np.linalg.eig(H[:m, :m])
     k = int(np.argmax(np.abs(theta)))
-    basis = np.column_stack(Q[:m])
-    return basis @ S[:, k].real
+    return np.einsum("i,ij->j", S[:, k].real, Q[:m])
 
 
 def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
@@ -223,15 +217,6 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         bad = int(np.argmax((op.sub <= 0) | (op.sup <= 0)))
         raise PositivityViolation(op.p, op.h, bad)
 
-    if n <= _DENSE_CUTOFF:
-        lam, v = _dense_principal(op)
-        v = v / np.max(v)
-        if np.min(v) <= 0:
-            raise NoConvergence(0, np.inf)
-        resid = float(np.max(np.abs(op.matvec(v) - lam * v)))
-        return EigenResult(lam=lam, phi=v, residual=resid, iters=1, p=op.p,
-                           N=n, h=op.h, X=op.X, source=op.source)
-
     rowsum = op.sub + op.diag + op.sup
     scale = max(1.0, float(np.max(np.abs(rowsum))))
     # rounding floor of the residual: ||A phi - lam phi|| cannot beat a few
@@ -253,6 +238,8 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     stall = 0
     jump_dim = 12
     iters = 0
+    refactorizations = 0
+    jumps = 0
     while iters < max_iters:
         iters += 1
         y = solver.solve(v)
@@ -263,7 +250,7 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         av = op.matvec(v)
         ratios = av / np.maximum(v, 1e-300)
         cw_lo, cw_hi = float(np.min(ratios)), float(np.max(ratios))
-        lam = float(np.dot(v, av) / np.dot(v, v))
+        lam = _dot(v, av) / _dot(v, v)
         resid = float(np.max(np.abs(av - lam * v)))
         if resid < tol_eff and abs(lam - lam_prev) < tol_eff:
             break
@@ -275,6 +262,7 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         if target < sigma - 1e-3 * (sigma - cw_hi):
             sigma = target
             solver = CyclicTridiagonalSolver(-op.sub, sigma - op.diag, -op.sup)
+            refactorizations += 1
 
         ratio = resid / resid_prev if resid_prev < np.inf else 0.0
         resid_prev = resid
@@ -288,6 +276,7 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
             if dim >= 2:
                 u = _arnoldi_jump(solver, v, dim)
                 iters += dim
+                jumps += 1
                 umax = np.max(np.abs(u))
                 if umax > 0 and np.all(np.isfinite(u)):
                     v = np.abs(u) / umax
@@ -298,7 +287,8 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     phi = v / np.max(v)
     if np.min(phi) <= 0:
         raise NoConvergence(iters, resid)
-    return EigenResult(lam=lam, phi=phi, residual=resid, iters=iters, p=op.p,
+    return EigenResult(lam=lam, phi=phi, residual=resid, iters=iters,
+                       refactorizations=refactorizations, jumps=jumps, p=op.p,
                        N=n, h=op.h, X=op.X, source=op.source)
 
 

@@ -115,7 +115,7 @@ def minimize_theta(m: med.MediumRealization, p: float,
     stagnant = 0
     iters = 0
     for iters in range(1, max_iters + 1):
-        norm = h * float(np.dot(phi, phi))
+        norm = h * ops._dot(phi, phi)
         alpha_sq = phi * phi / norm
         grad = 2.0 * m.a * (p + theta) * alpha_sq * h
         grad -= np.mean(grad)
@@ -131,7 +131,7 @@ def minimize_theta(m: med.MediumRealization, p: float,
         curv = np.maximum(curv, 1e-4 * np.max(curv))
         mu = float(np.sum(grad / curv) / np.sum(1.0 / curv))
         direction = (grad - mu) / curv
-        slope = float(np.dot(grad, direction))
+        slope = ops._dot(grad, direction)
         step = min(step * 2.0, 1.0)
         lam_before = lam
         accepted = False
@@ -168,7 +168,7 @@ def theta_gradient(m: med.MediumRealization, p: float, theta: ThetaField,
                    tol: float = 1e-12) -> np.ndarray:
     """Mean-projected eigenvalue gradient at theta (for gradient checks)."""
     lam, phi = _eigenpair(m, p, theta.theta, tol)
-    alpha_sq = phi * phi / (m.h * float(np.dot(phi, phi)))
+    alpha_sq = phi * phi / (m.h * ops._dot(phi, phi))
     grad = 2.0 * m.a * (p + theta.theta) * alpha_sq * m.h
     return grad - np.mean(grad)
 

@@ -3,6 +3,7 @@ import pytest
 
 from kpplab import medium as med
 from kpplab import operators as ops
+from kpplab import variational as var
 from kpplab.optimize import BracketFailure, bracket_min
 
 from conftest import MASTER, constant_medium, dimer_medium, dimer_spec, trig_spec
@@ -70,9 +71,49 @@ def test_rayleigh_quotients_bounded_by_lambda(rng):
     m = dimer_medium(X=50.0, h=0.02)
     op = ops.assemble_tilted(m, 0.0)
     res = ops.principal_eigen(op, tol=1e-10)
-    quotients = [ops.rayleigh_quotient(op, rng.standard_normal(m.N))
-                 for _ in range(200)]
+
+    def rayleigh_quotient(v):
+        return float(np.dot(v, op.matvec(v)) / np.dot(v, v))
+
+    quotients = [rayleigh_quotient(rng.standard_normal(m.N)) for _ in range(200)]
     assert max(quotients) <= res.lam + 1e-10
+
+
+@pytest.mark.parametrize("N", [10, 100])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_small_window_matches_dense_eigvals(N, p):
+    h = 0.05
+    m = dimer_medium(X=N * h, h=h, jitter=0.3)
+    op = ops.assemble_tilted(m, p)
+    res = ops.principal_eigen(op, tol=1e-12)
+    dense = np.diag(op.diag)
+    idx = np.arange(N)
+    dense[idx, (idx - 1) % N] += op.sub
+    dense[idx, (idx + 1) % N] += op.sup
+    ref = float(np.max(np.linalg.eigvals(dense).real))
+    assert res.N == N
+    assert abs(res.lam - ref) <= 1e-9
+    assert np.min(res.phi) > 0
+
+
+def test_sweep_reductions_bypass_blas(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BLAS reduction called from the solver hot path")
+
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, forbidden)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+
+    # a long window whose sweeps stall on a cluster, so a jump is taken
+    m = dimer_medium(X=1600.0, h=0.05, c_plus=3.0, c_minus=0.2, jitter=0.3)
+    res = ops.principal_eigen(ops.assemble_tilted(m, 0.0), tol=1e-10)
+    assert res.jumps >= 1
+
+    d = dimer_medium(X=20.0, h=0.02, eps=0.1, jitter=0.3)
+    out = var.minimize_theta(d, 1.0, max_iters=2)
+    assert out.iters == 2
+    grad = var.theta_gradient(d, 1.0, out.theta)
+    assert grad.shape == (d.N,)
 
 
 def test_parity_exact_even_for_varying_a():
@@ -185,6 +226,8 @@ def test_eigenresult_serializes():
     d = res.to_dict()
     assert d["lambda"] == res.lam
     assert d["realization_id"] == m.realization_id
+    assert (d["iters"], d["refactorizations"], d["jumps"]) == (
+        res.iters, res.refactorizations, res.jumps)
     assert "phi" not in d
     assert len(res.to_dict(include_phi=True)["phi"]) == m.N
 
