@@ -68,6 +68,6 @@ from .pde import (
     simulate,
 )
 from .optimize import BracketFailure
-from .results import SpeedEstimate
+from .results import NumericalFailure, SpeedEstimate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

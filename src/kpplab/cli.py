@@ -20,7 +20,7 @@ from . import pde
 from . import speedlab as lab
 from . import variational as var
 from .manifest import RunManifest
-from .optimize import BracketFailure
+from .results import NumericalFailure
 
 EXIT_OK = 0
 EXIT_VIOLATED = 2
@@ -327,10 +327,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ops.NoConvergence, ops.PositivityViolation, BracketFailure,
-            fr.GammaBelowThreshold, fr.StepTooCoarse, pde.CFLViolation,
-            pde.FrontEscaped, var.NoConvergence, var.DegenerateTilt,
-            np.linalg.LinAlgError) as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -20,15 +20,15 @@ import numpy as np
 
 from . import medium as med
 from . import operators as ops
-from .optimize import BracketFailure, bracket_min, golden_section_min
-from .results import SpeedEstimate
+from .optimize import bracket_min, brent_min
+from .results import NumericalFailure, SpeedEstimate
 
 
-class GammaBelowThreshold(ValueError):
+class GammaBelowThreshold(NumericalFailure, ValueError):
     """gamma too low: below Lambda_1 + margin or not above max c."""
 
 
-class StepTooCoarse(RuntimeError):
+class StepTooCoarse(NumericalFailure, RuntimeError):
     """ode_step wider than the grid spacing h: a cell skips field detail."""
 
 
@@ -164,9 +164,10 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4,
     """Spreading speed via the Lyapunov formula w* = min_{gamma} gamma/mu(gamma).
 
     The bracket grows geometrically from gamma_0 = Lambda_1 + 2*margin (never
-    below the max-c exclusion threshold); golden-section minimization runs to
-    relative tolerance tol in gamma.  The returned provenance records whether
-    the minimizer sat against the exclusion boundary.
+    below the max-c exclusion threshold); Brent minimization, seeded with the
+    bracket's values, runs to relative tolerance tol in gamma.  The returned
+    provenance records the number of mu evaluations and whether the
+    minimizer sat against the exclusion boundary.
     """
     lam1 = _lambda1(m)
     margin = default_margin(lam1)
@@ -180,7 +181,7 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4,
 
     lo, hi, evals = bracket_min(g, gamma_lo, 2.0 * gamma_lo + 1.0,
                                 max_expand=8, lo_floor=gamma_lo)
-    gamma_star, w, evals = golden_section_min(g, lo, hi, rel_tol=tol, evals=evals)
+    gamma_star, w, evals = brent_min(g, lo, hi, evals, rel_tol=tol)
     mu_star = gamma_star / w
     gs = sorted(evals)
     i = gs.index(gamma_star)
@@ -193,6 +194,7 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4,
             "realization_id": m.realization_id, "X": m.X, "h": m.h,
             "tol": tol, "ode_step": ode_step, "mu_star": mu_star,
             "lambda1_estimate": lam1, "gamma_lo": gamma_lo,
+            "evals": len(evals),
             "bracket_at_exclusion_boundary": bool(at_boundary),
         })
 

@@ -33,7 +33,6 @@ class RunManifest:
     started_at: str = ""
     finished_at: str = ""
     outputs: list = field(default_factory=list)  # [{path, sha}]
-    cache_hits: list = field(default_factory=list)
 
     def start(self) -> "RunManifest":
         self.started_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
@@ -60,7 +59,6 @@ class RunManifest:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "outputs": sorted(self.outputs, key=lambda d: d["path"]),
-            "cache_hits": sorted(self.cache_hits),
             "run_key": self.content_key(),
         }
         out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import medium as med
-from .optimize import BracketFailure, bracket_min, golden_section_min
-from .results import SpeedEstimate
+from .optimize import bracket_min, brent_min
+from .results import NumericalFailure, SpeedEstimate
 from .tridiag import CyclicTridiagonalSolver
 
 
-class PositivityViolation(ValueError):
+class PositivityViolation(NumericalFailure, ValueError):
     """Tilt too large for the grid: an off-diagonal entry would be <= 0."""
 
     def __init__(self, p: float, h: float, row: int):
@@ -47,7 +47,7 @@ class PositivityViolation(ValueError):
         self.row = row
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(NumericalFailure, RuntimeError):
     """Eigen-solver iteration budget exhausted."""
 
     def __init__(self, max_iters: int, residual: float):
@@ -332,8 +332,9 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     """Spreading speed from the eigenvalue formula w* = min_{p>0} k_p / p.
 
     The bracket is validated (the map must be decreasing at p_lo and
-    increasing at p_hi) and expanded geometrically up to 8 times per side
-    before golden-section minimization to relative tolerance tol in p.
+    increasing at p_hi) and expanded geometrically up to 8 times per side;
+    Brent minimization then starts from the bracket's eigen solves and runs
+    to relative tolerance tol in p.
     ``v0`` primes the first eigen solve (e.g. with the eigenfunction of a
     paired realization); later solves warm-start from each other.
     """
@@ -350,7 +351,7 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
         return res.lam / p
 
     lo, hi, evals = bracket_min(g, p_lo, p_hi, max_expand=8, lo_floor=0.0)
-    p_star, w, evals = golden_section_min(g, lo, hi, rel_tol=tol, evals=evals)
+    p_star, w, evals = brent_min(g, lo, hi, evals, rel_tol=tol)
     resid = k_p(m, p_star, tol=eig_tol).residual
     ps = sorted(evals)
     i = ps.index(p_star)

@@ -1,13 +1,15 @@
-"""One-dimensional bracketing and golden-section minimization."""
+"""One-dimensional bracketing and Brent minimization."""
 
 from __future__ import annotations
 
 import math
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .results import NumericalFailure
+
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-class BracketFailure(RuntimeError):
+class BracketFailure(NumericalFailure, RuntimeError):
     """Raised when geometric bracket expansion fails to enclose a minimum."""
 
     def __init__(self, lo: float, hi: float, expansions: int):
@@ -53,35 +55,58 @@ def bracket_min(f, lo: float, hi: float, grow: float = 2.0, max_expand: int = 8,
         expansions += 1
 
 
-def golden_section_min(f, lo: float, hi: float, rel_tol: float = 1e-4,
-                       max_iters: int = 200, evals: dict | None = None):
-    """Golden-section search for the minimum of a unimodal f on [lo, hi].
+def brent_min(f, lo: float, hi: float, evals: dict, rel_tol: float = 1e-4,
+              max_iters: int = 200):
+    """Brent minimization of a unimodal f on a bracket from bracket_min.
 
-    Stops when the bracket width falls below rel_tol * |midpoint|.  Returns
+    Parabolic interpolation through the three best points, with a
+    golden-section step whenever the parabola is not trusted.  The search
+    starts at the best point of ``evals`` inside (lo, hi), with lo and hi as
+    the other two points, so the first step is the parabola through known
+    values; no point is evaluated twice.  It stops when the bracket around
+    the best point x is narrower than rel_tol * |x|.  Returns
     (x_min, f_min, evals) with evals the dict of all evaluated points.
     """
-    if evals is None:
-        evals = {}
-
-    def fv(x: float) -> float:
+    def value(x: float) -> float:
         if x not in evals:
             evals[x] = f(x)
         return evals[x]
 
     a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fv(c), fv(d)
+    x = min((q for q in evals if a < q < b), key=value)
+    w, v = a, b
+    fx, fw, fv = value(x), value(w), value(v)
+    d = e = b - a
     for _ in range(max_iters):
-        if (b - a) <= rel_tol * max(abs(a + b) / 2.0, 1e-300):
+        xm = 0.5 * (a + b)
+        tol1 = 0.25 * rel_tol * max(abs(x), 1e-300)
+        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fv(c)
+        # vertex x + p/q of the parabola through v, w and x
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p, q = (-p, q) if q > 0.0 else (p, -q)
+        e_prev, e = e, d
+        # trust a step inside (a, b) shorter than half the one before last
+        if (abs(e_prev) > tol1 and abs(p) < abs(0.5 * q * e_prev)
+                and q * (a - x) < p < q * (b - x)):
+            d = p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol1:
+                d = math.copysign(tol1, xm - x)
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fv(d)
-    x = c if fc < fd else d
-    return x, evals[x], evals
+            e = (a - x) if x >= xm else (b - x)
+            d = _CGOLD * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = value(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, evals

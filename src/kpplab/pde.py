@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import medium as med
-from .results import SpeedEstimate
+from .results import NumericalFailure, SpeedEstimate
 from .tridiag import TridiagonalSolver
 
 
-class CFLViolation(ValueError):
+class CFLViolation(NumericalFailure, ValueError):
     """Time step too large for the explicit reaction."""
 
     def __init__(self, dt: float, dt_max: float):
@@ -36,7 +36,7 @@ class CFLViolation(ValueError):
         self.dt_max = dt_max
 
 
-class FrontEscaped(RuntimeError):
+class FrontEscaped(NumericalFailure, RuntimeError):
     """The front entered the guard band near the right wall."""
 
     def __init__(self, t_reached: float):
@@ -44,7 +44,7 @@ class FrontEscaped(RuntimeError):
         self.t_reached = t_reached
 
 
-class TooFewSnapshots(ValueError):
+class TooFewSnapshots(NumericalFailure, ValueError):
     """Fit window contains fewer than 10 snapshots."""
 
 

@@ -1,8 +1,15 @@
-"""Shared result records."""
+"""Shared result records and the numerical failure family."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+
+class NumericalFailure(Exception):
+    """Base of every numerical failure; the CLI maps it to exit code 4.
+
+    Each subclass also keeps its ValueError or RuntimeError base.
+    """
 
 
 @dataclass(frozen=True)

@@ -438,52 +438,6 @@ def suite_reaction_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
                        points=points, verdicts=verdicts)
 
 
-def admissible_amplitude(f: pde.ReactionSpec, m: med.MediumRealization,
-                         s_grid_size: int = 64) -> float:
-    """Largest B keeping f + B g positive on (0, 1), for g = c(x) s (1 - s).
-
-    For the logistic kinds the threshold is exact: +inf when min c >= 0,
-    otherwise r / |min c|.  Other tabulated reactions go through
-    admissible_amplitude_scan.
-    """
-    c_min = float(np.min(m.c))
-    if f.kind == "logistic_c":
-        # base reaction is itself c(x) s (1-s); adding B of the same g
-        return np.inf if c_min >= 0 else 1.0
-    if f.kind == "shifted_combo":
-        return np.inf if c_min >= 0 else f.r / abs(c_min)
-    raise ValueError(f"unsupported reaction kind {f.kind!r}")
-
-
-def admissible_amplitude_scan(f_of_s, g_of_x_s, x_grid, s_grid_size: int = 64,
-                              b_hi: float = 1e6, tol: float = 1e-6) -> float:
-    """Bisection for B* = sup{B >= 0 : f(s) + B g(x, s) > 0 on the grid}.
-
-    Scans an s-times-x grid; the feasible set in B is an interval because g
-    enters linearly.
-    """
-    s = np.linspace(0.0, 1.0, s_grid_size + 2)[1:-1]
-    xs = np.asarray(x_grid, dtype=float)
-    fv = f_of_s(s)[None, :]
-    gv = np.array([g_of_x_s(x, s) for x in xs])
-
-    def feasible(b):
-        return bool(np.all(fv + b * gv > 0))
-
-    if not feasible(0.0):
-        return 0.0
-    if feasible(b_hi):
-        return np.inf
-    lo, hi = 0.0, b_hi
-    while hi - lo > tol * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def suite_scaling_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
     """Coarser media are faster: L -> w*(a_L, c_L) is nondecreasing.
 

@@ -17,13 +17,14 @@ import numpy as np
 
 from . import medium as med
 from . import operators as ops
+from .results import NumericalFailure
 
 
-class DegenerateTilt(ValueError):
+class DegenerateTilt(NumericalFailure, ValueError):
     """Requested construction needs k_p strictly above k_0."""
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(NumericalFailure, RuntimeError):
     """Gradient iteration budget exhausted."""
 
     def __init__(self, max_iters: int, grad_norm: float):

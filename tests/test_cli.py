@@ -5,7 +5,11 @@ import pytest
 
 from kpplab import cli
 from kpplab import freidlin as fr
+from kpplab import operators as ops
+from kpplab import pde
+from kpplab import variational as var
 from kpplab.optimize import BracketFailure
+from kpplab.results import NumericalFailure
 
 
 def write_config(tmp_path, **kw):
@@ -106,6 +110,29 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, X=60.0,
                        pde={"h": 0.05, "T": 100.0, "dt": 0.05,
                             "snapshot_every": 1.0, "fit_fraction": 0.5})
+    assert run(tmp_path, "pde", "speed", cfg=cfg) == 4
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_numerical_failure_family():
+    for cls, base in [(ops.NoConvergence, RuntimeError),
+                      (ops.PositivityViolation, ValueError),
+                      (BracketFailure, RuntimeError),
+                      (fr.GammaBelowThreshold, ValueError),
+                      (fr.StepTooCoarse, RuntimeError),
+                      (pde.CFLViolation, ValueError),
+                      (pde.FrontEscaped, RuntimeError),
+                      (pde.TooFewSnapshots, ValueError),
+                      (var.NoConvergence, RuntimeError),
+                      (var.DegenerateTilt, ValueError)]:
+        assert issubclass(cls, NumericalFailure) and issubclass(cls, base)
+
+
+def test_too_few_snapshots_exit_code(tmp_path, capsys):
+    # T / snapshot_every leaves fewer than 10 snapshots in the fit window
+    cfg = write_config(tmp_path, pde={"h": 0.05, "T": 35.0, "dt": 0.05,
+                                      "snapshot_every": 5.0,
+                                      "fit_fraction": 0.5})
     assert run(tmp_path, "pde", "speed", cfg=cfg) == 4
     assert "numerical failure" in capsys.readouterr().err
 

@@ -103,6 +103,11 @@ def test_speed_agrees_with_eigen_route():
     assert abs(w_fr - w_kp) / w_kp <= 1e-2
 
 
+def test_speed_search_evaluation_budget():
+    m = dimer_medium(X=50.0, h=0.02, eps=0.2, jitter=0.3)
+    assert fr.speed_freidlin(m, tol=1e-4).provenance["evals"] <= 15
+
+
 def test_mu_seed_spread_shrinks_with_window():
     spec = dimer_spec(eps=0.2, jitter=0.3)
     spreads = {}

@@ -4,7 +4,7 @@ import pytest
 from kpplab import medium as med
 from kpplab import operators as ops
 from kpplab import variational as var
-from kpplab.optimize import BracketFailure, bracket_min
+from kpplab.optimize import BracketFailure, bracket_min, brent_min
 
 from conftest import MASTER, constant_medium, dimer_medium, dimer_spec, trig_spec
 
@@ -205,6 +205,27 @@ def test_speed_bracket_expands():
 def test_bracket_failure():
     with pytest.raises(BracketFailure):
         bracket_min(lambda x: x, 1.0, 2.0, max_expand=2)
+
+
+def test_brent_min_from_bracket():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x + 1.0 / x
+
+    lo, hi, evals = bracket_min(f, 0.3, 3.0)
+    x, fx, evals = brent_min(f, lo, hi, evals, rel_tol=1e-4)
+    assert abs(x - 1.0) <= 1e-4
+    assert fx == evals[x] == min(evals.values())
+    assert len(evals) <= 15
+    assert len(calls) == len(set(calls)) == len(evals)
+
+
+def test_speed_search_solve_budget():
+    m = dimer_medium(X=50.0, h=0.02, eps=0.2, jitter=0.3)
+    est = ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4)
+    assert len(est.provenance["kp_evals"]) <= 15
 
 
 def test_dimer_speed_strictly_above_homogeneous():

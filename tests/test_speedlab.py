@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from kpplab import medium as med
-from kpplab import pde
 from kpplab import speedlab as lab
 from kpplab.manifest import ResultCache, RunManifest
 
@@ -134,30 +133,6 @@ def test_suite_reaction_constant_shift_closed_form():
     for p in rep.points:
         assert p["w_base"] == pytest.approx(2.0, abs=2e-3)
         assert p["w_shifted"] == pytest.approx(2.0 * np.sqrt(1.5), abs=2e-3)
-
-
-def test_admissible_amplitude_closed_forms():
-    m = med.sample_realization(med.spec_from_dict(DIMER_ENSEMBLE), MASTER, 0,
-                               50.0, 0.02)
-    dem = med.replace_c(m, m.c - float(np.mean(m.c)), "dem")
-    f = pde.ReactionSpec("shifted_combo", r=1.0, B=0.0)
-    b_star = lab.admissible_amplitude(f, dem)
-    assert b_star == pytest.approx(1.0 / abs(float(np.min(dem.c))), rel=1e-12)
-    assert lab.admissible_amplitude(f, m) == np.inf  # min c > 0
-
-
-def test_admissible_amplitude_scan_matches_refined():
-    def f_of_s(s):
-        return s * (1.0 - s)
-
-    def g_of_x_s(x, s):
-        return (np.cos(x) - 0.5) * s * (1.0 - s)
-
-    xs = np.linspace(0.0, 2 * np.pi, 200)
-    coarse = lab.admissible_amplitude_scan(f_of_s, g_of_x_s, xs, 32)
-    fine = lab.admissible_amplitude_scan(f_of_s, g_of_x_s, xs, 512)
-    assert coarse == pytest.approx(fine, abs=1e-3)
-    assert coarse == pytest.approx(1.0 / 1.5, abs=1e-2)  # min(cos-0.5) = -1.5
 
 
 def test_suite_scaling_monotonicity():
