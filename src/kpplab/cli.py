@@ -53,10 +53,10 @@ def _write_dat(path: Path, rows, header: str) -> Path:
     return path
 
 
-def _sample(cfg, stream: int):
+def _sample(cfg, stream: int, h: float | None = None):
     return med.sample_realization(med.spec_from_dict(cfg["ensemble"]),
-                                  cfg["master_seed"], stream,
-                                  cfg["X"], cfg["h"])
+                                  cfg["master_seed"], stream, cfg["X"],
+                                  cfg["h"] if h is None else h)
 
 
 def cmd_medium_sample(args) -> int:
@@ -162,9 +162,7 @@ def cmd_pde_run(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     pcfg = cfg["pde"]
-    m = med.sample_realization(med.spec_from_dict(cfg["ensemble"]),
-                               cfg["master_seed"], args.stream,
-                               cfg["X"], pcfg["h"])
+    m = _sample(cfg, args.stream, pcfg["h"])
     trace = pde.simulate(m, pde.ReactionSpec("logistic_c"), T=pcfg["T"],
                          dt=pcfg["dt"], snapshot_every=pcfg["snapshot_every"])
     trace.to_csv(out / "front.csv")
@@ -178,9 +176,7 @@ def cmd_pde_speed(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     pcfg = cfg["pde"]
-    m = med.sample_realization(med.spec_from_dict(cfg["ensemble"]),
-                               cfg["master_seed"], args.stream,
-                               cfg["X"], pcfg["h"])
+    m = _sample(cfg, args.stream, pcfg["h"])
     trace = pde.simulate(m, pde.ReactionSpec("logistic_c"), T=pcfg["T"],
                          dt=pcfg["dt"], snapshot_every=pcfg["snapshot_every"])
     est = pde.front_speed(trace, pcfg["fit_fraction"])
@@ -194,17 +190,12 @@ def cmd_pde_dichotomy(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     pcfg = cfg["pde"]
-    m = med.sample_realization(med.spec_from_dict(cfg["ensemble"]),
-                               cfg["master_seed"], args.stream,
-                               cfg["X"], pcfg["h"])
+    m = _sample(cfg, args.stream, pcfg["h"])
     if args.w_star is not None:
         w = args.w_star
     else:
-        me = med.sample_realization(med.spec_from_dict(cfg["ensemble"]),
-                                    cfg["master_seed"], args.stream,
-                                    cfg["X"], cfg["h"])
-        w = ops.speed_from_kp(me, cfg["p_lo"], cfg["p_hi"],
-                              tol=cfg["speed_tol"]).value
+        w = ops.speed_from_kp(_sample(cfg, args.stream), cfg["p_lo"],
+                              cfg["p_hi"], tol=cfg["speed_tol"]).value
     report = pde.dichotomy_check(m, pde.ReactionSpec("logistic_c"), w,
                                  args.deltas, T=args.T, dt=pcfg["dt"])
     (out / "dichotomy.json").write_text(

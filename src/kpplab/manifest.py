@@ -1,12 +1,9 @@
-"""Run manifests and the on-disk result cache."""
+"""Run manifests."""
 
 from __future__ import annotations
 
 import datetime as _dt
 import json
-import os
-import tempfile
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,40 +65,3 @@ class RunManifest:
     def read(path: str | Path) -> dict:
         return json.loads(Path(path).read_text())
 
-
-class ResultCache:
-    """Content-addressed store for expensive scalar results.
-
-    Keys hash the realization bytes together with the operation name and its
-    canonical parameter JSON.  Reads are lock-free; writes go through a
-    temporary file and an atomic rename, so concurrent writers of the same
-    key are last-write-wins.
-    """
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self.hits: list[str] = []
-
-    def key(self, realization_bytes: bytes, op_name: str, params: dict) -> str:
-        return content_hash(realization_bytes, op_name, canonical_json(params))
-
-    def get(self, key: str):
-        path = self.root / f"{key}.json"
-        if not path.exists():
-            return None
-        with self._lock:
-            self.hits.append(key)
-        return json.loads(path.read_text())
-
-    def put(self, key: str, payload: dict) -> None:
-        path = self.root / f"{key}.json"
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)

@@ -1,6 +1,6 @@
 """Seeded realizations of heterogeneous diffusion/reaction coefficient fields.
 
-A realization holds gridded fields a, a', c on a window [0, X) treated as
+A realization holds gridded fields a, c on a window [0, X) treated as
 X-periodic (the finite-volume surrogate for the infinite line).  Four ensemble
 kinds are supported:
 
@@ -14,7 +14,7 @@ kinds are supported:
                              X-periodic.
 
 Piecewise kinds are smoothed by convolving each plateau jump with a C1 bump
-(quartic kernel) of width eps, so a' exists and is bounded.  Fields of the
+(quartic kernel) of width eps, so the fields are C2.  Fields of the
 piecewise kinds are evaluated analytically at arbitrary points; this makes
 rescaling exact at shared sample points and keeps plateau floors exact.
 """
@@ -31,7 +31,7 @@ import numpy as np
 from .hashutil import canonical_json, content_hash64, hash64
 
 FORMAT_MAGIC = b"KPPM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # header: magic, version, N, h, X, master_seed, stream_id, realization_id, scale
 _HEADER = struct.Struct("<4sHQddQQQd")
@@ -52,14 +52,6 @@ class ConstantSpec:
     def __post_init__(self):
         if self.a0 <= 0 or self.c0 <= 0:
             raise ValueError("constant ensemble requires a0 > 0 and c0 > 0")
-
-    @property
-    def a_floor(self) -> float:
-        return self.a0
-
-    @property
-    def c_floor(self) -> float:
-        return self.c0
 
     @property
     def corr_length(self) -> float:
@@ -86,14 +78,6 @@ class PeriodicPiecewiseSpec:
         for name in ("period", "a_plus", "a_minus", "c_plus", "c_minus", "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    @property
-    def a_floor(self) -> float:
-        return min(self.a_plus, self.a_minus)
-
-    @property
-    def c_floor(self) -> float:
-        return min(self.c_plus, self.c_minus)
 
     @property
     def corr_length(self) -> float:
@@ -135,14 +119,6 @@ class DimerSpec:
             raise ValueError("jitter requires length_dist='uniform'")
 
     @property
-    def a_floor(self) -> float:
-        return min(self.a_plus, self.a_minus)
-
-    @property
-    def c_floor(self) -> float:
-        return min(self.c_plus, self.c_minus)
-
-    @property
     def corr_length(self) -> float:
         return self.len1 + self.len2
 
@@ -179,14 +155,6 @@ class RandomTrigSpec:
             raise ValueError("base frequencies must be positive")
         if any(v < 0 for v in self.amps_a + self.amps_c):
             raise ValueError("amplitudes must be nonnegative")
-
-    @property
-    def a_floor(self) -> float:
-        return self.a_min
-
-    @property
-    def c_floor(self) -> float:
-        return self.c_min
 
     @property
     def corr_length(self) -> float:
@@ -231,19 +199,12 @@ def _smooth_step(u: np.ndarray) -> np.ndarray:
     return 0.5 + (15.0 / 16.0) * (u - 2.0 * u**3 / 3.0 + u**5 / 5.0)
 
 
-def _quartic_bump(u: np.ndarray) -> np.ndarray:
-    return (15.0 / 16.0) * (1.0 - u * u) ** 2
-
-
 class _ConstantProfile:
     def __init__(self, a0: float, c0: float):
         self.a0, self.c0 = a0, c0
 
     def a(self, x):
         return np.full_like(x, self.a0, dtype=float)
-
-    def a_prime(self, x):
-        return np.zeros_like(x, dtype=float)
 
     def c(self, x):
         return np.full_like(x, self.c0, dtype=float)
@@ -270,15 +231,12 @@ class _PiecewiseProfile:
         self.jump_a = self.a_vals - prev_a
         self.jump_c = self.c_vals - prev_c
 
-    def _eval(self, x, vals, jumps, derivative):
+    def _eval(self, x, vals, jumps):
         x = np.asarray(x, dtype=float)
         xm = np.mod(x, self.X)
         half = self.eps / 2.0
-        if derivative:
-            out = np.zeros_like(xm)
-        else:
-            idx = np.searchsorted(self.starts, xm, side="right") - 1
-            out = vals[idx]
+        idx = np.searchsorted(self.starts, xm, side="right") - 1
+        out = vals[idx]
         order = np.argsort(xm, kind="stable")
         xs = xm[order]
         add = np.zeros_like(xs)
@@ -291,27 +249,19 @@ class _PiecewiseProfile:
                 if i1 <= i0:
                     continue
                 u = (xs[i0:i1] - image) / half
-                if derivative:
-                    add[i0:i1] += jump * _quartic_bump(u) / half
-                else:
-                    add[i0:i1] += jump * (_smooth_step(u) - (u >= 0.0))
+                add[i0:i1] += jump * (_smooth_step(u) - (u >= 0.0))
         corr = np.empty_like(add)
         corr[order] = add
-        if derivative:
-            return out + corr
         # the monotone step response keeps the exact field inside the plateau
         # range; clipping removes only last-ulp rounding dust so the declared
         # floors hold exactly
         return np.clip(out + corr, np.min(vals), np.max(vals))
 
     def a(self, x):
-        return self._eval(x, self.a_vals, self.jump_a, derivative=False)
-
-    def a_prime(self, x):
-        return self._eval(x, None, self.jump_a, derivative=True)
+        return self._eval(x, self.a_vals, self.jump_a)
 
     def c(self, x):
-        return self._eval(x, self.c_vals, self.jump_c, derivative=False)
+        return self._eval(x, self.c_vals, self.jump_c)
 
 
 class _TrigProfile:
@@ -333,13 +283,6 @@ class _TrigProfile:
 
     def a(self, x):
         return self._series(x, self.amps_a, self.phases_a, self.a_min)
-
-    def a_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, amp, ph in zip(self.ks, self.amps_a, self.phases_a):
-            out -= amp * k * np.sin(k * x + ph)
-        return out
 
     def c(self, x):
         return self._series(x, self.amps_c, self.phases_c, self.c_min)
@@ -409,7 +352,7 @@ class MediumRealization:
 
     Arrays are read-only; a_half[i] is the flux coefficient at node i + 1/2,
     defined as the arithmetic mean of the neighbouring node values so that the
-    serialized (a, a', c) triple reconstructs the realization exactly.
+    serialized (a, c) pair reconstructs the realization exactly.
     ``scale`` records accumulated rescalings x -> x/scale of the parent
     profile (scale == 1 for a fresh sample).
     """
@@ -418,7 +361,6 @@ class MediumRealization:
     X: float
     N: int
     a: np.ndarray
-    a_prime: np.ndarray
     c: np.ndarray
     a_half: np.ndarray
     master_seed: int
@@ -428,7 +370,7 @@ class MediumRealization:
     scale: float = 1.0
 
     def __post_init__(self):
-        for arr in (self.a, self.a_prime, self.c, self.a_half):
+        for arr in (self.a, self.c, self.a_half):
             arr.flags.writeable = False
         if np.any(self.a <= 0) or np.any(self.a_half <= 0):
             raise ValueError("diffusion field must be strictly positive")
@@ -453,11 +395,10 @@ def _make_realization(spec, master_seed, stream_id, X, h, scale, profile,
     x = np.arange(n) * h
     args = np.mod(x / scale, X / scale) if scale != 1.0 else x
     a = profile.a(args)
-    a_prime = profile.a_prime(args) / scale
     c = profile.c(args)
     a_half = 0.5 * (a + np.roll(a, -1))
     return MediumRealization(
-        h=float(h), X=float(X), N=n, a=a, a_prime=a_prime, c=c, a_half=a_half,
+        h=float(h), X=float(X), N=n, a=a, c=c, a_half=a_half,
         master_seed=int(master_seed), stream_id=int(stream_id),
         realization_id=rid, ensemble=spec, scale=float(scale),
     )
@@ -503,8 +444,7 @@ def rescale(m: MediumRealization, L: float) -> MediumRealization:
 
     The parent profile is re-sampled at x/L on an L*N-node grid with the same
     spacing h (window length L*X); L*N must be integral.  At shared sample
-    points the child fields equal the parent fields exactly, and
-    a_L'(x) = a'(x/L)/L.
+    points the child fields equal the parent fields exactly.
     """
     if L <= 0:
         raise ValueError("rescale factor L must be positive")
@@ -546,7 +486,7 @@ def replace_c(m: MediumRealization, new_c: np.ndarray, tag: str) -> MediumRealiz
     rid = content_hash64(
         np.uint64(m.realization_id).tobytes(), tag.encode(), new_c.tobytes())
     return MediumRealization(
-        h=m.h, X=m.X, N=m.N, a=m.a.copy(), a_prime=m.a_prime.copy(), c=new_c,
+        h=m.h, X=m.X, N=m.N, a=m.a.copy(), c=new_c,
         a_half=m.a_half.copy(), master_seed=m.master_seed, stream_id=m.stream_id,
         realization_id=rid, ensemble=None, scale=m.scale)
 
@@ -559,8 +499,8 @@ def scale_a(m: MediumRealization, kappa: float) -> MediumRealization:
         np.uint64(m.realization_id).tobytes(), b"scale_a",
         np.float64(kappa).tobytes())
     return MediumRealization(
-        h=m.h, X=m.X, N=m.N, a=kappa * m.a, a_prime=kappa * m.a_prime,
-        c=m.c.copy(), a_half=kappa * m.a_half, master_seed=m.master_seed,
+        h=m.h, X=m.X, N=m.N, a=kappa * m.a, c=m.c.copy(),
+        a_half=kappa * m.a_half, master_seed=m.master_seed,
         stream_id=m.stream_id, realization_id=rid, ensemble=None, scale=m.scale)
 
 
@@ -579,11 +519,11 @@ def field_at(m: MediumRealization, name: str, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def realization_bytes(m: MediumRealization) -> bytes:
-    """Binary container: header then little-endian f64 arrays a, a', c."""
+    """Binary container: header then little-endian f64 arrays a, c."""
     head = _HEADER.pack(FORMAT_MAGIC, FORMAT_VERSION, m.N, m.h, m.X,
                         m.master_seed, m.stream_id, m.realization_id, m.scale)
     body = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                    for arr in (m.a, m.a_prime, m.c))
+                    for arr in (m.a, m.c))
     return head + body
 
 
@@ -610,16 +550,19 @@ def load_realization(path: str | Path) -> MediumRealization:
     the EnsembleSpec needed to rebuild the generating profile for rescaling."""
     path = Path(path)
     raw = path.read_bytes()
-    magic, version, n, h, X, master_seed, stream_id, rid, scale = _HEADER.unpack_from(raw)
-    if magic != FORMAT_MAGIC:
+    if raw[:4] != FORMAT_MAGIC:
         raise ValueError("not a KPPM container")
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"KPPM header truncated: {len(raw)} of {_HEADER.size} bytes")
+    _, version, n, h, X, master_seed, stream_id, rid, scale = _HEADER.unpack_from(raw)
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    off = _HEADER.size
-    stride = 8 * n
-    a = np.frombuffer(raw, dtype="<f8", count=n, offset=off).astype(float)
-    a_prime = np.frombuffer(raw, dtype="<f8", count=n, offset=off + stride).astype(float)
-    c = np.frombuffer(raw, dtype="<f8", count=n, offset=off + 2 * stride).astype(float)
+        raise ValueError(f"unsupported KPPM version {version} "
+                         f"(this build reads version {FORMAT_VERSION})")
+    if len(raw) != _HEADER.size + 16 * n:
+        raise ValueError(f"KPPM body holds {len(raw) - _HEADER.size} bytes, "
+                         f"expected {16 * n} for N={n}")
+    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).astype(float)
+    a, c = body[:n], body[n:]
     spec = None
     sidecar_path = path.with_suffix(path.suffix + ".json")
     if sidecar_path.exists():
@@ -628,6 +571,6 @@ def load_realization(path: str | Path) -> MediumRealization:
             spec = spec_from_dict(meta["ensemble"])
     a_half = 0.5 * (a + np.roll(a, -1))
     return MediumRealization(
-        h=h, X=X, N=n, a=a, a_prime=a_prime, c=c, a_half=a_half,
+        h=h, X=X, N=n, a=a, c=c, a_half=a_half,
         master_seed=master_seed, stream_id=stream_id, realization_id=rid,
         ensemble=spec, scale=scale)

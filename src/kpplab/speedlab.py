@@ -22,7 +22,7 @@ from . import medium as med
 from . import operators as ops
 from . import pde
 from . import variational as var
-from .manifest import ResultCache, RunManifest
+from .manifest import RunManifest
 from .results import SpeedEstimate
 
 DEFAULT_CONFIG: dict = {
@@ -66,11 +66,10 @@ def _spec(cfg: dict) -> med.EnsembleSpec:
     return med.spec_from_dict(cfg["ensemble"])
 
 
-def _realization(cfg: dict, stream_id: int, h: float | None = None,
-                 X: float | None = None) -> med.MediumRealization:
-    return med.sample_realization(
-        _spec(cfg), cfg["master_seed"], stream_id,
-        X if X is not None else cfg["X"], h if h is not None else cfg["h"])
+def _realization(cfg: dict, stream_id: int,
+                 h: float | None = None) -> med.MediumRealization:
+    return med.sample_realization(_spec(cfg), cfg["master_seed"], stream_id,
+                                  cfg["X"], cfg["h"] if h is None else h)
 
 
 def statistical_slack(spec: med.EnsembleSpec, c_values: np.ndarray, X: float) -> float:
@@ -86,13 +85,30 @@ def statistical_slack(spec: med.EnsembleSpec, c_values: np.ndarray, X: float) ->
     return 3.0 * std / np.sqrt(X / spec.corr_length)
 
 
-def _parallel(tasks, threads: int):
-    """Deterministic-order map over tasks (list of zero-arg callables)."""
+def _per_seed(config: dict, one, threads: int) -> list[dict]:
+    """Run one(m, stream) on the realization of each stream 0..seeds-1.
+
+    Results come back in stream order whatever the thread count, each dict
+    tagged with its "stream".
+    """
+    def task(stream):
+        return {"stream": stream, **one(_realization(config, stream), stream)}
+
+    streams = range(config["seeds"])
     if threads <= 1:
-        return [t() for t in tasks]
+        return [task(s) for s in streams]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
+        return list(pool.map(task, streams))
+
+
+def _is_const(arr: np.ndarray) -> bool:
+    """Whether a field is constant up to rounding, relative to its size."""
+    return bool(np.ptp(arr) <= 1e-12 * np.max(np.abs(arr)))
+
+
+def _grid_diffs(points: list[dict], key: str, grid: list) -> list:
+    """Successive differences of each point's values along a parameter grid."""
+    return [d for p in points for d in np.diff([p[key][repr(g)] for g in grid])]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +171,7 @@ def _pde_speed(cfg, stream_id) -> SpeedEstimate:
     return pde.front_speed(trace, pcfg["fit_fraction"])
 
 
-def estimate_speed(config: dict, threads: int = 1,
-                   cache: ResultCache | None = None) -> SpeedReport:
+def estimate_speed(config: dict, threads: int = 1) -> SpeedReport:
     """Run each configured method on paired realizations.
 
     Stream ids are 0..seeds-1 independent of the method, so per-seed
@@ -167,40 +182,24 @@ def estimate_speed(config: dict, threads: int = 1,
     stats = {name: MethodStats() for name in methods}
     estimates = {name: [] for name in methods}
 
-    def run_one(stream_id):
+    def one(m, stream_id):
         out = {}
-        realz = _realization(config, stream_id)
         for name in methods:
-            params = {"method": name, "stream": stream_id,
-                      "speed_tol": config["speed_tol"],
-                      "pde": config["pde"] if name == "pde" else None}
-            key = None
-            if cache is not None:
-                key = cache.key(med.realization_bytes(realz), "estimate_speed",
-                                params)
-                hit = cache.get(key)
-                if hit is not None:
-                    out[name] = hit
-                    continue
             try:
                 if name == "eigen":
-                    est = _eigen_speed(config, realz)
+                    est = _eigen_speed(config, m)
                 elif name == "freidlin":
-                    est = fr.speed_freidlin(realz, tol=config["speed_tol"])
+                    est = fr.speed_freidlin(m, tol=config["speed_tol"])
                 elif name == "pde":
                     est = _pde_speed(config, stream_id)
                 else:
                     raise ValueError(f"unknown method {name!r}")
                 out[name] = est.to_dict()
-                if cache is not None:
-                    cache.put(key, out[name])
             except Exception as exc:  # noqa: BLE001 - partial results persist
                 out[name] = {"error": f"{type(exc).__name__}: {exc}"}
         return out
 
-    results = _parallel([lambda s=s: run_one(s) for s in range(config["seeds"])],
-                        threads)
-    for stream_id, out in enumerate(results):
+    for stream_id, out in enumerate(_per_seed(config, one, threads)):
         for name in methods:
             rec = out[name]
             if "error" in rec:
@@ -284,6 +283,12 @@ def _ensemble_verdict(claim, inequality, margins, gate, tolerance,
                    verdict=verdict, margin=mean - gate, details=det)
 
 
+def _gap_verdict(claim: str, gap: str, gaps, tol: float) -> Verdict:
+    """Verdict that every gap of an exact identity stays within 5*tol."""
+    return _ensemble_verdict(claim, f"{gap} <= 5*tol", [-g for g in gaps],
+                             gate=-5.0 * tol, tolerance=5.0 * tol)
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -296,21 +301,17 @@ def suite_homogenized_bound(config: dict, threads: int = 1) -> SuiteReport:
     statistical slack) is asserted only when a is constant and c is not.
     """
     spec = _spec(config)
-    seeds = config["seeds"]
 
-    def run_one(stream_id):
-        m = _realization(config, stream_id)
+    def one(m, stream_id):
         em = med.empirical_means(m)
         bound = 2.0 * np.sqrt(em.mean_c / em.mean_inv_a)
         est = _eigen_speed(config, m)
-        slack = statistical_slack(spec, m.c, m.X)
-        a_const = float(np.max(m.a) - np.min(m.a)) <= 1e-12 * float(np.max(m.a))
-        c_const = float(np.max(m.c) - np.min(m.c)) <= 1e-12 * float(np.max(m.c))
-        return {"stream": stream_id, "w": est.value, "p_star": est.optimizer,
-                "bound": bound, "slack": slack, "margin": est.value - bound,
-                "a_const": a_const, "c_const": c_const}
+        return {"w": est.value, "p_star": est.optimizer, "bound": bound,
+                "slack": statistical_slack(spec, m.c, m.X),
+                "margin": est.value - bound,
+                "a_const": _is_const(m.a), "c_const": _is_const(m.c)}
 
-    points = _parallel([lambda s=s: run_one(s) for s in range(seeds)], threads)
+    points = _per_seed(config, one, threads)
     # the slack is purely statistical and vanishes for constant media, where
     # the only play left is optimizer tolerance; keep a numeric floor
     slack = points[0]["slack"]
@@ -337,8 +338,7 @@ def suite_diffusion_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
     are rejected: the monotonicity can fail in that generality.
     """
     probe = _realization(config, 0)
-    c_span = float(np.max(probe.c) - np.min(probe.c))
-    if c_span > 1e-12 * max(1.0, float(np.max(probe.c))):
+    if not _is_const(probe.c):
         raise ValueError("suite_diffusion_monotonicity requires constant c")
     c_val = float(probe.c[0])
     kappas = list(config["kappa_grid"])
@@ -346,34 +346,27 @@ def suite_diffusion_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
     eig_tol = min(tol, 1e-10)
     p_id = config["identity_p_grid"][len(config["identity_p_grid"]) // 2]
 
-    def run_one(stream_id):
-        m = _realization(config, stream_id)
-        rec = {"stream": stream_id, "w": {}, "identity_gap": {}}
+    def one(m, stream_id):
+        rec = {"w": {}, "identity_gap": {}}
+        m0 = med.replace_c(m, np.zeros(m.N), "czero")
         for kappa in kappas:
             mk = med.scale_a(m, kappa)
             rec["w"][repr(kappa)] = _eigen_speed(config, mk).value
             lhs = ops.k_p(mk, p_id, tol=eig_tol).lam
-            m0 = med.replace_c(m, np.zeros(m.N), "czero")
             rhs = kappa * ops.k_p(m0, p_id, tol=eig_tol).lam + c_val
             rec["identity_gap"][repr(kappa)] = abs(lhs - rhs)
         return rec
 
-    points = _parallel([lambda s=s: run_one(s) for s in range(config["seeds"])],
-                       threads)
-    id_gaps = [g for p in points for g in p["identity_gap"].values()]
-    verdicts = [_ensemble_verdict(
+    points = _per_seed(config, one, threads)
+    verdicts = [_gap_verdict(
         "diffusion linearity identity",
-        "|k_p(kappa a, c) - kappa k_p(a, 0) - c| <= 5*tol",
-        [-g for g in id_gaps], gate=-5.0 * tol, tolerance=5.0 * tol)]
-    diffs = []
-    for p in points:
-        ws = [p["w"][repr(k)] for k in kappas]
-        diffs.extend(np.diff(ws))
+        "|k_p(kappa a, c) - kappa k_p(a, 0) - c|",
+        [g for p in points for g in p["identity_gap"].values()], tol)]
     noise = 3.0 * config["speed_tol"]
     verdicts.append(_ensemble_verdict(
         "speed increases with diffusion (constant c)",
         "w*(kappa2 a) > w*(kappa1 a) for kappa2 > kappa1, beyond paired noise",
-        diffs, gate=noise, tolerance=noise))
+        _grid_diffs(points, "w", kappas), gate=noise, tolerance=noise))
     return SuiteReport(name="diffusion_monotonicity", config=config,
                        points=points, verdicts=verdicts)
 
@@ -399,8 +392,7 @@ def suite_reaction_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
     if max(b_grid) >= b_star:
         raise ValueError(f"B grid reaches the admissibility threshold B*={b_star:g}")
 
-    def run_one(stream_id):
-        m = _realization(config, stream_id)
+    def one(m, stream_id):
         w_base = _eigen_speed(config, m).value
         w_shift = _eigen_speed(
             config, med.replace_c(m, m.c + shift, "cshift")).value
@@ -409,27 +401,21 @@ def suite_reaction_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
         for b in b_grid:
             mb = med.replace_c(m, r + b * dem, "bdem")
             w_b[repr(b)] = _eigen_speed(config, mb).value
-        return {"stream": stream_id, "w_base": w_base, "w_shifted": w_shift,
-                "w_B": w_b}
+        return {"w_base": w_base, "w_shifted": w_shift, "w_B": w_b}
 
-    points = _parallel([lambda s=s: run_one(s) for s in range(config["seeds"])],
-                       threads)
+    points = _per_seed(config, one, threads)
     noise = 3.0 * config["speed_tol"]
     verdicts = [_ensemble_verdict(
         "comparison w*(a, c) <= w*(a, c + shift)",
         "w*(c + shift) - w*(c) >= 0 on all paired seeds",
         [p["w_shifted"] - p["w_base"] for p in points],
         gate=-noise, tolerance=noise)]
-    b_diffs = []
-    for p in points:
-        ws = [p["w_B"][repr(b)] for b in b_grid]
-        b_diffs.extend(np.diff(ws))
+    b_diffs = _grid_diffs(points, "w_B", b_grid)
     verdicts.append(_ensemble_verdict(
         "B-monotonicity of w*(1, r + B (c - mean c))",
         "w* nondecreasing across the B grid on paired seeds",
         b_diffs, gate=-noise, tolerance=noise))
-    c_const = float(np.max(probe.c) - np.min(probe.c)) <= 1e-12
-    if not c_const:
+    if not _is_const(probe.c):
         verdicts.append(_ensemble_verdict(
             "strict B-monotonicity for nonconstant c",
             "w* increases across the B grid beyond paired noise",
@@ -452,19 +438,15 @@ def suite_scaling_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
     id_ls = [v for v in l_grid if v >= 1.0] or l_grid
     tol = config["tol"]
     eig_tol = min(tol, 1e-10)
-    spec = _spec(config)
 
-    def run_one(stream_id):
-        m = _realization(config, stream_id)
-        rec = {"stream": stream_id, "w": {}, "identity_gap": {}}
+    def one(m, stream_id):
+        rec = {"w": {}, "identity_gap": {}}
         for L in l_grid:
             mL = med.rescale(m, L)
             rec["w"][repr(L)] = _eigen_speed(config, mL).value
             if L in id_ls:
                 gaps = {}
-                fine = med.sample_realization(spec, config["master_seed"],
-                                              stream_id, config["X"],
-                                              config["h"] / L)
+                fine = _realization(config, stream_id, h=config["h"] / L)
                 fine2 = med.replace_c(fine, L * L * fine.c, "scalesq")
                 for p in config["identity_p_grid"]:
                     lhs = ops.k_p(mL, p, tol=eig_tol).lam
@@ -473,27 +455,20 @@ def suite_scaling_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
                 rec["identity_gap"][repr(L)] = gaps
         return rec
 
-    points = _parallel([lambda s=s: run_one(s) for s in range(config["seeds"])],
-                       threads)
-    id_gaps = [g for p in points for gs in p["identity_gap"].values()
-               for g in gs.values()]
-    verdicts = [_ensemble_verdict(
+    points = _per_seed(config, one, threads)
+    verdicts = [_gap_verdict(
         "window rescaling identity",
-        "|k_p(a_L, c_L) - k_{pL}(a, L^2 c)/L^2| <= 5*tol",
-        [-g for g in id_gaps], gate=-5.0 * tol, tolerance=5.0 * tol)]
+        "|k_p(a_L, c_L) - k_{pL}(a, L^2 c)/L^2|",
+        [g for p in points for gs in p["identity_gap"].values()
+         for g in gs.values()], tol)]
     probe = _realization(config, 0)
     noise = 3.0 * config["speed_tol"]
-    diffs = []
-    for p in points:
-        ws = [p["w"][repr(L)] for L in l_grid]
-        diffs.extend(np.diff(ws))
+    diffs = _grid_diffs(points, "w", l_grid)
     verdicts.append(_ensemble_verdict(
         "speed nondecreasing under coarsening",
         "w*(a_L, c_L) nondecreasing over the L grid on paired seeds",
         diffs, gate=-noise, tolerance=noise))
-    a_const = float(np.max(probe.a) - np.min(probe.a)) <= 1e-12 * float(np.max(probe.a))
-    c_const = float(np.max(probe.c) - np.min(probe.c)) <= 1e-12 * float(np.max(probe.c))
-    if a_const and not c_const:
+    if _is_const(probe.a) and not _is_const(probe.c):
         verdicts.append(_ensemble_verdict(
             "strict increase for constant a, nonconstant c",
             "w* increases across the L grid beyond paired noise",
@@ -516,12 +491,11 @@ def suite_eigen_properties(config: dict, threads: int = 1,
     eig_tol = min(tol, 1e-10)
     spec = _spec(config)
 
-    def run_one(stream_id):
-        m = _realization(config, stream_id)
+    def one(m, stream_id):
         em = med.empirical_means(m)
         kp = {repr(p): ops.k_p(m, p, tol=eig_tol).lam for p in p_grid}
         k0 = ops.k_p(m, 0.0, tol=eig_tol).lam
-        rec = {"stream": stream_id, "k_p": kp, "k0": k0,
+        rec = {"k_p": kp, "k0": k0,
                "mean_c": em.mean_c, "mean_inv_a": em.mean_inv_a,
                "slack": statistical_slack(spec, m.c, m.X)}
         c_max = float(np.max(m.c))
@@ -543,14 +517,11 @@ def suite_eigen_properties(config: dict, threads: int = 1,
                                  "iters": res.iters}
         return rec
 
-    points = _parallel([lambda s=s: run_one(s) for s in range(config["seeds"])],
-                       threads)
-    verdicts = []
-    parity = [-abs(p["k_p"][repr(q)] - p["k_p"][repr(-q)])
-              for p in points for q in p_grid if q > 0 and -q in p_grid]
-    verdicts.append(_ensemble_verdict(
-        "parity of the eigenvalue in the tilt", "|k_p - k_{-p}| <= 5*tol",
-        parity, gate=-5.0 * tol, tolerance=5.0 * tol))
+    points = _per_seed(config, one, threads)
+    verdicts = [_gap_verdict(
+        "parity of the eigenvalue in the tilt", "|k_p - k_{-p}|",
+        [abs(p["k_p"][repr(q)] - p["k_p"][repr(-q)])
+         for p in points for q in p_grid if q > 0 and -q in p_grid], tol)]
     second = []
     for p in points:
         ks = np.array([p["k_p"][repr(q)] for q in p_grid])

@@ -17,22 +17,12 @@ import numpy as np
 
 from . import medium as med
 from . import operators as ops
+from .operators import NoConvergence
 from .results import NumericalFailure
 
 
 class DegenerateTilt(NumericalFailure, ValueError):
     """Requested construction needs k_p strictly above k_0."""
-
-
-class NoConvergence(NumericalFailure, RuntimeError):
-    """Gradient iteration budget exhausted."""
-
-    def __init__(self, max_iters: int, grad_norm: float):
-        super().__init__(
-            f"projected gradient descent did not converge in {max_iters} "
-            f"iterations (last |grad| = {grad_norm:.3e})")
-        self.max_iters = max_iters
-        self.grad_norm = grad_norm
 
 
 @dataclass(frozen=True)

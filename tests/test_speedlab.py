@@ -6,7 +6,7 @@ import pytest
 
 from kpplab import medium as med
 from kpplab import speedlab as lab
-from kpplab.manifest import ResultCache, RunManifest
+from kpplab.manifest import RunManifest
 
 from conftest import MASTER
 
@@ -51,16 +51,6 @@ def test_estimate_speed_records_failures():
     rep = lab.estimate_speed(cfg)  # front escapes the small window
     assert len(rep.per_method["pde"].failures) == 2
     assert "FrontEscaped" in rep.per_method["pde"].failures[0]["error"]
-
-
-def test_result_cache_round_trip(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
-    cfg = small_config(seeds=2, methods=["eigen"])
-    r1 = lab.estimate_speed(cfg, cache=cache)
-    assert not cache.hits
-    r2 = lab.estimate_speed(cfg, cache=cache)
-    assert len(cache.hits) == 2
-    assert r1.per_method["eigen"].values == r2.per_method["eigen"].values
 
 
 def test_suite_homogenized_bound_homogeneous():
