@@ -147,10 +147,9 @@ class MuCurve:
         return path
 
 
-def mu_curve(m: med.MediumRealization, gammas, ode_step: float | None = None) -> MuCurve:
+def mu_curve(m: med.MediumRealization, gammas) -> MuCurve:
     lam1 = _lambda1(m)
-    if ode_step is None:
-        ode_step = m.h / 2.0
+    ode_step = m.h / 2.0
     gammas = np.asarray(sorted(float(g) for g in gammas))
     mus = np.array([riccati_mu(m, g, ode_step, lambda1_estimate=lam1)
                     for g in gammas])
@@ -159,8 +158,7 @@ def mu_curve(m: med.MediumRealization, gammas, ode_step: float | None = None) ->
                    X=m.X, h=m.h, ode_step=ode_step)
 
 
-def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4,
-                   ode_step: float | None = None) -> SpeedEstimate:
+def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate:
     """Spreading speed via the Lyapunov formula w* = min_{gamma} gamma/mu(gamma).
 
     The bracket grows geometrically from gamma_0 = Lambda_1 + 2*margin (never
@@ -171,8 +169,7 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4,
     """
     lam1 = _lambda1(m)
     margin = default_margin(lam1)
-    if ode_step is None:
-        ode_step = m.h / 2.0
+    ode_step = m.h / 2.0
     c_max = float(np.max(m.c))
     gamma_lo = max(lam1 + 2.0 * margin, c_max + margin)
 

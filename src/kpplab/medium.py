@@ -404,21 +404,30 @@ def _make_realization(spec, master_seed, stream_id, X, h, scale, profile,
     )
 
 
-def sample_realization(spec: EnsembleSpec, master_seed: int, stream_id: int,
-                       X: float, h: float) -> MediumRealization:
-    """Sample one realization; a deterministic function of all its arguments.
+def _grid_nodes(X: float, h: float) -> int:
+    """Node count N = X/h of a valid window grid.
 
-    The child seed is hash64(master_seed, stream_id).  X/h must be integral,
-    and for the piecewise kinds the smoothing width must satisfy eps >= 4h so
-    the transition layers are resolved.
+    X and h must be positive, X/h integral and N at least 8.
     """
-    if X <= 0 or h <= 0:
-        raise ValueError("X and h must be positive")
+    if not (X > 0 and h > 0):
+        raise ValueError(f"X and h must be positive, got X={X!r}, h={h!r}")
     n = X / h
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ValueError(f"X/h = {n!r} is not integral")
     if int(round(n)) < 8:
         raise ValueError("window must contain at least 8 nodes")
+    return int(round(n))
+
+
+def sample_realization(spec: EnsembleSpec, master_seed: int, stream_id: int,
+                       X: float, h: float) -> MediumRealization:
+    """Sample one realization; a deterministic function of all its arguments.
+
+    The child seed is hash64(master_seed, stream_id).  X/h must be integral
+    with at least 8 nodes, and for the piecewise kinds the smoothing width
+    must satisfy eps >= 4h so the transition layers are resolved.
+    """
+    _grid_nodes(X, h)
     if isinstance(spec, (PeriodicPiecewiseSpec, DimerSpec)) and spec.eps < 4.0 * h:
         raise ValueError(
             f"smoothing width eps={spec.eps:g} < 4h={4 * h:g} is unresolved")
@@ -558,6 +567,8 @@ def load_realization(path: str | Path) -> MediumRealization:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported KPPM version {version} "
                          f"(this build reads version {FORMAT_VERSION})")
+    if _grid_nodes(X, h) != n:
+        raise ValueError(f"KPPM header has N={n}, but X/h = {X / h!r}")
     if len(raw) != _HEADER.size + 16 * n:
         raise ValueError(f"KPPM body holds {len(raw) - _HEADER.size} bytes, "
                          f"expected {16 * n} for N={n}")

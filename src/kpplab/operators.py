@@ -104,8 +104,8 @@ class EigenResult:
     def __post_init__(self):
         self.phi.flags.writeable = False
 
-    def to_dict(self, include_phi: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "lambda": self.lam,
             "residual": self.residual,
             "iters": self.iters,
@@ -117,9 +117,6 @@ class EigenResult:
             "X": self.X,
             "realization_id": self.source,
         }
-        if include_phi:
-            d["phi"] = self.phi.tolist()
-        return d
 
 
 def _assemble(m: med.MediumRealization, p: float, zero_order: np.ndarray) -> DiscreteOperator:
@@ -306,7 +303,7 @@ def clear_kp_memo() -> None:
 
 
 def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
-        max_iters: int = 5000, v0: np.ndarray | None = None) -> EigenResult:
+        v0: np.ndarray | None = None) -> EigenResult:
     """Principal eigenvalue k_p of the tilted operator on the window.
 
     Results are memoized per (realization_id, p, N, h, tol); writes are
@@ -319,31 +316,28 @@ def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
         hit = _KP_MEMO.get(key)
     if hit is not None:
         return hit
-    res = principal_eigen(assemble_tilted(m, p), tol=tol, max_iters=max_iters,
-                          v0=v0)
+    res = principal_eigen(assemble_tilted(m, p), tol=tol, v0=v0)
     with _KP_LOCK:
         _KP_MEMO[key] = res
     return res
 
 
 def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0,
-                  tol: float = 1e-4, eig_tol: float | None = None,
-                  v0: np.ndarray | None = None) -> SpeedEstimate:
+                  tol: float = 1e-4, eig_tol: float | None = None) -> SpeedEstimate:
     """Spreading speed from the eigenvalue formula w* = min_{p>0} k_p / p.
 
     The bracket is validated (the map must be decreasing at p_lo and
     increasing at p_hi) and expanded geometrically up to 8 times per side;
     Brent minimization then starts from the bracket's eigen solves and runs
-    to relative tolerance tol in p.
-    ``v0`` primes the first eigen solve (e.g. with the eigenfunction of a
-    paired realization); later solves warm-start from each other.
+    to relative tolerance tol in p.  The first eigen solve starts cold; later
+    solves warm-start from each other.
     """
     if not (0 < p_lo < p_hi):
         raise ValueError("need 0 < p_lo < p_hi")
     if eig_tol is None:
         eig_tol = min(1e-8, tol * 1e-2)
 
-    warm: dict[str, np.ndarray | None] = {"phi": v0}
+    warm: dict[str, np.ndarray | None] = {"phi": None}
 
     def g(p: float) -> float:
         res = k_p(m, p, tol=eig_tol, v0=warm["phi"])

@@ -1,4 +1,4 @@
-"""Orchestration: multi-method speed estimation and theorem-verification suites.
+"""Theorem-verification suites over ensembles of sampled media.
 
 A run config is a plain JSON-able dict; see DEFAULT_CONFIG for the knobs.
 Seeds are paired across parameter values (stream ids 0..S-1 regardless of the
@@ -20,7 +20,6 @@ import numpy as np
 from . import freidlin as fr
 from . import medium as med
 from . import operators as ops
-from . import pde
 from . import variational as var
 from .manifest import RunManifest
 from .results import SpeedEstimate
@@ -33,7 +32,6 @@ DEFAULT_CONFIG: dict = {
     "h": 0.01,
     "seeds": 8,
     "master_seed": 20260810,
-    "methods": ["eigen", "freidlin"],
     "tol": 1e-8,
     "p_lo": 0.3,
     "p_hi": 3.0,
@@ -111,104 +109,10 @@ def _grid_diffs(points: list[dict], key: str, grid: list) -> list:
     return [d for p in points for d in np.diff([p[key][repr(g)] for g in grid])]
 
 
-# ---------------------------------------------------------------------------
-# speed estimation across methods
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MethodStats:
-    values: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values)) if self.values else float("nan")
-
-    @property
-    def stderr(self) -> float:
-        if len(self.values) < 2:
-            return 0.0
-        return float(np.std(self.values, ddof=1) / np.sqrt(len(self.values)))
-
-
-@dataclass
-class SpeedReport:
-    config: dict
-    per_method: dict[str, MethodStats]
-    estimates: dict[str, list]  # method -> list of SpeedEstimate dicts
-
-    @property
-    def max_pairwise_gap(self) -> float:
-        means = [s.mean for s in self.per_method.values() if s.values]
-        if len(means) < 2:
-            return 0.0
-        return float(max(means) - min(means))
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "methods": {
-                name: {"mean": s.mean, "stderr": s.stderr, "values": s.values,
-                       "failures": s.failures}
-                for name, s in self.per_method.items()
-            },
-            "max_pairwise_gap": self.max_pairwise_gap,
-            "estimates": self.estimates,
-        }
-
-
-def _eigen_speed(cfg, m, v0=None) -> SpeedEstimate:
+def _eigen_speed(cfg, m) -> SpeedEstimate:
     return ops.speed_from_kp(m, cfg["p_lo"], cfg["p_hi"],
                              tol=cfg["speed_tol"],
-                             eig_tol=min(cfg["tol"], 1e-7), v0=v0)
-
-
-def _pde_speed(cfg, stream_id) -> SpeedEstimate:
-    pcfg = cfg["pde"]
-    mp = _realization(cfg, stream_id, h=pcfg["h"])
-    trace = pde.simulate(mp, pde.ReactionSpec("logistic_c"), T=pcfg["T"],
-                         dt=pcfg["dt"], snapshot_every=pcfg["snapshot_every"])
-    return pde.front_speed(trace, pcfg["fit_fraction"])
-
-
-def estimate_speed(config: dict, threads: int = 1) -> SpeedReport:
-    """Run each configured method on paired realizations.
-
-    Stream ids are 0..seeds-1 independent of the method, so per-seed
-    estimates are cross-method comparable.  Failures are recorded per method
-    and do not abort the remaining work.
-    """
-    methods = config["methods"]
-    stats = {name: MethodStats() for name in methods}
-    estimates = {name: [] for name in methods}
-
-    def one(m, stream_id):
-        out = {}
-        for name in methods:
-            try:
-                if name == "eigen":
-                    est = _eigen_speed(config, m)
-                elif name == "freidlin":
-                    est = fr.speed_freidlin(m, tol=config["speed_tol"])
-                elif name == "pde":
-                    est = _pde_speed(config, stream_id)
-                else:
-                    raise ValueError(f"unknown method {name!r}")
-                out[name] = est.to_dict()
-            except Exception as exc:  # noqa: BLE001 - partial results persist
-                out[name] = {"error": f"{type(exc).__name__}: {exc}"}
-        return out
-
-    for stream_id, out in enumerate(_per_seed(config, one, threads)):
-        for name in methods:
-            rec = out[name]
-            if "error" in rec:
-                stats[name].failures.append({"stream": stream_id,
-                                             "error": rec["error"]})
-            else:
-                stats[name].values.append(rec["value"])
-                estimates[name].append(rec)
-    return SpeedReport(config=config, per_method=stats, estimates=estimates)
+                             eig_tol=min(cfg["tol"], 1e-7))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +350,9 @@ def suite_scaling_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
             rec["w"][repr(L)] = _eigen_speed(config, mL).value
             if L in id_ls:
                 gaps = {}
-                fine = _realization(config, stream_id, h=config["h"] / L)
+                # at L = 1 the fine grid is the seed's own medium
+                fine = (m if L == 1.0 else
+                        _realization(config, stream_id, h=config["h"] / L))
                 fine2 = med.replace_c(fine, L * L * fine.c, "scalesq")
                 for p in config["identity_p_grid"]:
                     lhs = ops.k_p(mL, p, tol=eig_tol).lam

@@ -63,13 +63,11 @@ def zero_theta(m: med.MediumRealization) -> ThetaField:
 
 
 def k0_with_theta(m: med.MediumRealization, p: float, theta: ThetaField,
-                  tol: float = 1e-8, v0: np.ndarray | None = None) -> float:
+                  tol: float = 1e-8) -> float:
     """Objective of the variational formula: k_0(a, c + a (p + theta)^2)."""
     if theta.theta.shape != (m.N,):
         raise ValueError("theta grid does not match the realization")
-    potential = m.c + m.a * (p + theta.theta) ** 2
-    op = ops.assemble_symmetric(m, potential)
-    return ops.principal_eigen(op, tol=tol, v0=v0).lam
+    return _eigenpair(m, p, theta.theta, tol)[0]
 
 
 def _eigenpair(m, p, theta, tol, v0=None):
@@ -186,17 +184,6 @@ def theta_closed_form(m: med.MediumRealization, p: float,
     dlog_phi = (np.roll(log_phi, -1) - np.roll(log_phi, 1)) / two_h
     dlog_psi = (np.roll(log_psi, -1) - np.roll(log_psi, 1)) / two_h
     return ThetaField.from_raw(0.5 * (-dlog_phi + dlog_psi), project=True)
-
-
-def raw_closed_form_mean(m: med.MediumRealization, p: float,
-                         tol: float = 1e-8) -> float:
-    """Window mean of the unprojected closed-form drift (sublinearity probe)."""
-    kp = ops.k_p(m, p, tol=tol)
-    km = ops.k_p(m, -p, tol=tol)
-    two_h = 2.0 * m.h
-    dlog_phi = (np.roll(np.log(kp.phi), -1) - np.roll(np.log(kp.phi), 1)) / two_h
-    dlog_psi = (np.roll(np.log(km.phi), -1) - np.roll(np.log(km.phi), 1)) / two_h
-    return float(np.mean(0.5 * (-dlog_phi + dlog_psi)))
 
 
 def homogenized_theta(m: med.MediumRealization, p: float) -> ThetaField:

@@ -206,6 +206,20 @@ def test_load_rejects_malformed_containers(tmp_path):
             med.load_realization(path)
 
 
+def test_load_rejects_bad_grids(tmp_path):
+    # the loader applies the sampler's grid rule and also needs N = X/h
+    path = tmp_path / "m.kppm"
+    for n, h, X, what in ((0, 0.02, -5.0, "positive"),
+                          (10, 0.02, 0.3, "N=10"),
+                          (10, -0.02, -0.2, "positive"),
+                          (3, 0.02, 0.06, "at least 8")):
+        head = med._HEADER.pack(med.FORMAT_MAGIC, med.FORMAT_VERSION, n, h, X,
+                                MASTER, 0, 1, 1.0)
+        path.write_bytes(head + np.ones(2 * n).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=what):
+            med.load_realization(path)
+
+
 def test_replace_and_scale_helpers():
     m = dimer_medium(X=50.0, h=0.02)
     shifted = med.replace_c(m, m.c + 0.5, "shift")
