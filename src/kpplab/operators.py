@@ -24,7 +24,6 @@ Perron root with positive eigenvector.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,37 +288,15 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
                        N=n, h=op.h, X=op.X, source=op.source)
 
 
-# ---------------------------------------------------------------------------
-# memoized eigenvalue map p -> k_p
-# ---------------------------------------------------------------------------
-
-_KP_MEMO: dict[tuple, EigenResult] = {}
-_KP_LOCK = threading.Lock()
-
-
-def clear_kp_memo() -> None:
-    with _KP_LOCK:
-        _KP_MEMO.clear()
-
-
 def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
         v0: np.ndarray | None = None) -> EigenResult:
     """Principal eigenvalue k_p of the tilted operator on the window.
 
-    Results are memoized per (realization_id, p, N, h, tol); writes are
-    serialized and last-write-wins, so concurrent solves of the same key are
-    harmless.  ``v0`` only seeds the iteration (warm start), it does not enter
-    the key.
+    Every call solves; ``v0`` only seeds the iteration (warm start).  A cold
+    solve is deterministic, so asking for the same tilt again gives the same
+    bits.
     """
-    key = (m.realization_id, float(p), m.N, float(m.h), float(tol))
-    with _KP_LOCK:
-        hit = _KP_MEMO.get(key)
-    if hit is not None:
-        return hit
-    res = principal_eigen(assemble_tilted(m, p), tol=tol, v0=v0)
-    with _KP_LOCK:
-        _KP_MEMO[key] = res
-    return res
+    return principal_eigen(assemble_tilted(m, p), tol=tol, v0=v0)
 
 
 def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0,
@@ -330,7 +307,8 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     increasing at p_hi) and expanded geometrically up to 8 times per side;
     Brent minimization then starts from the bracket's eigen solves and runs
     to relative tolerance tol in p.  The first eigen solve starts cold; later
-    solves warm-start from each other.
+    solves warm-start from each other, and the residual of each is kept for
+    the error bar at the minimizer.
     """
     if not (0 < p_lo < p_hi):
         raise ValueError("need 0 < p_lo < p_hi")
@@ -338,15 +316,17 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
         eig_tol = min(1e-8, tol * 1e-2)
 
     warm: dict[str, np.ndarray | None] = {"phi": None}
+    residuals: dict[float, float] = {}
 
     def g(p: float) -> float:
         res = k_p(m, p, tol=eig_tol, v0=warm["phi"])
         warm["phi"] = res.phi
+        residuals[p] = res.residual
         return res.lam / p
 
     lo, hi, evals = bracket_min(g, p_lo, p_hi, max_expand=8, lo_floor=0.0)
     p_star, w, evals = brent_min(g, lo, hi, evals, rel_tol=tol)
-    resid = k_p(m, p_star, tol=eig_tol).residual
+    resid = residuals[p_star]
     ps = sorted(evals)
     i = ps.index(p_star)
     nbrs = [evals[q] for q in ps[max(0, i - 1):i + 2]]

@@ -18,7 +18,7 @@ front reaches 0.9 X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,28 +50,22 @@ class TooFewSnapshots(NumericalFailure, ValueError):
 
 @dataclass(frozen=True)
 class ReactionSpec:
-    """KPP reaction term.
+    """KPP reaction term f(x, u) = c(x) u (1 - u) (kind "logistic_c").
 
-    logistic_c:     f(x, u) = c(x) u (1 - u)
-    shifted_combo:  f(x, u) = (r + B c(x)) u (1 - u)
-
-    Both vanish at u = 0 and u = 1 and are dominated by their linearization
-    at 0 whenever the effective rate is nonnegative.
+    It vanishes at u = 0 and u = 1 and is dominated by its linearization at
+    0 whenever c is nonnegative.  Other rates, such as r + B (c - mean c),
+    enter through the medium (``medium.replace_c``).
     """
 
     kind: str = "logistic_c"
-    r: float = 0.0
-    B: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("logistic_c", "shifted_combo"):
+        if self.kind != "logistic_c":
             raise ValueError(f"unknown reaction kind {self.kind!r}")
 
     def linear_rate(self, m: med.MediumRealization) -> np.ndarray:
         """f_s(x, 0) on the grid."""
-        if self.kind == "logistic_c":
-            return m.c.copy()
-        return self.r + self.B * m.c
+        return m.c
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,6 @@ def _diffusion_solver(m: med.MediumRealization, dt: float) -> TridiagonalSolver:
 
 def simulate(m: med.MediumRealization, f: ReactionSpec, T: float,
              dt: float | None = None, snapshot_every: float = 1.0,
-             u0: np.ndarray | None = None,
              keep_final: bool = False):
     """Integrate the front problem to time T and record the front trace.
 
@@ -154,7 +147,7 @@ def simulate(m: med.MediumRealization, f: ReactionSpec, T: float,
         raise CFLViolation(dt, dt_max)
 
     solver = _diffusion_solver(m, dt)
-    u = initial_datum(m) if u0 is None else np.clip(np.asarray(u0, float), 0.0, 1.0)
+    u = initial_datum(m)
     guard = 0.9 * m.X
     every = max(1, int(round(snapshot_every / dt)))
     nsteps = int(round(T / dt))

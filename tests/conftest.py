@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kpplab import medium as med
-from kpplab import operators as ops
 
 MASTER = 20260810
 
@@ -29,12 +28,6 @@ def trig_spec(freqs=(0.7, 1.9), amps_a=(0.25, 0.1), amps_c=(0.3, 0.2),
               a_min=0.5, c_min=0.5):
     return med.RandomTrigSpec(base_freqs=freqs, amps_a=amps_a, amps_c=amps_c,
                               a_min=a_min, c_min=c_min)
-
-
-@pytest.fixture(autouse=True)
-def _clear_memo():
-    ops.clear_kp_memo()
-    yield
 
 
 @pytest.fixture

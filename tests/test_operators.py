@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,11 +236,18 @@ def test_dimer_speed_strictly_above_homogeneous():
     assert est.value > 2.0  # strict speedup from c-heterogeneity
 
 
-def test_kp_memoized():
-    m = constant_medium(X=20.0, h=0.02)
-    r1 = ops.k_p(m, 1.0, tol=1e-8)
-    r2 = ops.k_p(m, 1.0, tol=1e-8)
-    assert r1 is r2
+def test_speed_search_memory_bounded():
+    # a speed search keeps no eigenfunction once it returns: what it still
+    # holds is well under two eigenfunction-sized arrays
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    tracemalloc.start()
+    try:
+        est = ops.speed_from_kp(m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert est.value > 0
+    assert held < 2 * 8 * m.N
 
 
 def test_eigenresult_serializes():

@@ -10,9 +10,8 @@ from conftest import MASTER, constant_medium, dimer_medium
 def test_reaction_spec_validation():
     with pytest.raises(ValueError):
         pde.ReactionSpec("bistable")
-    spec = pde.ReactionSpec("shifted_combo", r=1.0, B=0.5)
     m = constant_medium(c0=2.0, X=20.0, h=0.05)
-    assert np.allclose(spec.linear_rate(m), 1.0 + 0.5 * 2.0)
+    assert np.array_equal(pde.ReactionSpec().linear_rate(m), m.c)
 
 
 def test_initial_datum_compact_and_bounded():
@@ -112,9 +111,9 @@ def test_front_escape_guard():
 
 def test_negative_rate_rejected():
     m = constant_medium(c0=1.0, X=50.0, h=0.05)
-    bad = pde.ReactionSpec("shifted_combo", r=0.5, B=-1.0)
+    neg = med.replace_c(m, m.c - 1.5, "neg")
     with pytest.raises(ValueError, match="nonnegative"):
-        pde.simulate(m, bad, T=1.0, dt=0.05)
+        pde.simulate(neg, pde.ReactionSpec("logistic_c"), T=1.0, dt=0.05)
 
 
 def test_dichotomy_homogeneous():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from kpplab import medium as med
-from kpplab import operators as ops
 from kpplab import speedlab as lab
 from kpplab.manifest import RunManifest
 
@@ -27,7 +26,6 @@ def small_config(**kw):
 def test_seed_pairing_contract():
     # stream s samples the same medium whatever the number of seeds
     r1 = lab.suite_homogenized_bound(small_config(seeds=1))
-    ops.clear_kp_memo()
     r5 = lab.suite_homogenized_bound(small_config(seeds=5))
     assert r1.points[0]["w"] == r5.points[0]["w"]
 
@@ -138,7 +136,6 @@ def test_run_suite_writes_reproducible_payloads(tmp_path):
                              threads=threads)
 
     rep1 = run(tmp_path / "run1", threads=1)
-    ops.clear_kp_memo()  # the second run solves every eigenvalue again
     rep2 = run(tmp_path / "run2", threads=2)
     assert rep1.manifest_hash == rep2.manifest_hash
     for name in ("eigen_properties_report.json", "eigen_properties_verdicts.csv"):
