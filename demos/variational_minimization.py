@@ -43,7 +43,8 @@ print(f"homogenized theta  : {val_h:.8f}  (+{val_h - kp:.2e})")
 
 res = minimize_theta(m, p, max_iters=300)
 print(f"optimized theta    : {res.k0_value:.8f}  "
-      f"(+{res.gap_vs_direct:.2e}, {res.iters} iterations)")
+      f"({res.gap_vs_direct:+.2e}, {res.iters} Newton steps, "
+      f"{res.solves} eigen solves, {res.stop})")
 
 th_star = theta_closed_form(m, p, tol=1e-10)
 val_star = k0_with_theta(m, p, th_star, tol=1e-12)

@@ -147,14 +147,16 @@ def cmd_variational_minimize(args) -> int:
     summary = {
         "p": p, "k0_value": res.k0_value, "k_p_direct": kp,
         "gap_vs_direct": res.gap_vs_direct, "grad_norm": res.grad_norm,
-        "iters": res.iters, "theta_sup_norm": res.theta.sup_norm,
+        "iters": res.iters, "solves": res.solves, "stop": res.stop,
+        "theta_sup_norm": res.theta.sup_norm,
         "theta_file": theta_path.name, "N": m.N, "h": m.h, "X": m.X,
         "realization_id": m.realization_id,
     }
     (out / "theta_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"min theta value = {res.k0_value!r} vs k_p = {kp!r} "
-          f"(gap {res.gap_vs_direct:.3e}, {res.iters} iterations)")
+          f"(gap {res.gap_vs_direct:.3e}, {res.iters} Newton steps, "
+          f"{res.solves} eigen solves, {res.stop})")
     return EXIT_OK
 
 

@@ -2,11 +2,12 @@
 
 k_p equals the infimum over mean-zero bounded drift fields theta of the
 self-adjoint eigenvalue k_0(a, c + a (p + theta)^2).  This module evaluates
-that objective, minimizes it by projected gradient descent (the gradient
-comes from first-order perturbation of the symmetric operator), and provides
-two closed-form reference fields: the minimizer built from the eigenfunctions
-of the +p and -p tilted operators, and the homogenized drift that attains the
-harmonic-mean lower bound.
+that objective and minimizes it by projected Newton-CG: the gradient comes
+from first-order perturbation of the symmetric operator and the Hessian from
+second-order perturbation, one cyclic tridiagonal solve per Hessian-vector
+product.  It also provides two closed-form reference fields: the minimizer
+built from the eigenfunctions of the +p and -p tilted operators, and the
+homogenized drift that attains the harmonic-mean lower bound.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import medium as med
 from . import operators as ops
 from .operators import NoConvergence
 from .results import NumericalFailure
+from .tridiag import CyclicTridiagonalSolver
 
 
 class DegenerateTilt(NumericalFailure, ValueError):
@@ -54,8 +56,10 @@ class ThetaResult:
     theta: ThetaField
     k0_value: float
     grad_norm: float
-    iters: int
+    iters: int  # accepted Newton steps
     gap_vs_direct: float  # k0_value - k_p from the direct tilted solve
+    solves: int  # eigen solves made, the direct k_p included
+    stop: str  # "converged", "stagnated" or "max_iters"
 
 
 def zero_theta(m: med.MediumRealization) -> ThetaField:
@@ -74,92 +78,170 @@ def _eigenpair(m, p, theta, tol, v0=None):
     potential = m.c + m.a * (p + theta) ** 2
     op = ops.assemble_symmetric(m, potential)
     res = ops.principal_eigen(op, tol=tol, v0=v0)
-    return res.lam, res.phi
+    return res.lam, res.phi, op
+
+
+def _gradient(m, p, theta, phi):
+    """Unit eigenvector u, u b with b = 2 a (p + theta), and the gradient.
+
+    First-order perturbation of the symmetric operator gives
+    d k_0 / d theta[i] = u[i]^2 b[i]; it is returned projected to zero mean.
+    """
+    u = phi / np.sqrt(ops._dot(phi, phi))
+    ub = 2.0 * m.a * (p + theta) * u
+    grad = u * ub
+    return u, ub, grad - np.mean(grad)
 
 
 def minimize_theta(m: med.MediumRealization, p: float,
                    init: ThetaField | None = None, tol: float = 1e-8,
                    max_iters: int = 600) -> ThetaResult:
-    """Projected gradient descent on theta for the variational objective.
+    """Projected Newton-CG descent on theta for the variational objective.
 
-    The gradient of k_0 with respect to theta[i] is 2 a[i] (p + theta[i])
-    alpha[i]^2 h, with alpha the L2-normalized positive eigenfunction
-    (first-order perturbation of the symmetric operator); each step projects
-    the gradient to zero mean and backtracks with the Armijo rule.  The
-    objective is convex in theta (a monotone convex eigenvalue composed with
-    the pointwise convex map theta -> a (p+theta)^2), so the limit is the
-    global infimum.  Stops when the projected-gradient sup-norm drops below
-    tol, or on objective stagnation at machine precision.
+    The objective is convex in theta (a monotone convex eigenvalue composed
+    with the pointwise convex map theta -> a (p+theta)^2), so the limit is the
+    global infimum.  Each Newton step solves the Newton system on the
+    mean-zero subspace by preconditioned CG (``_newton_cg``) and takes an
+    Armijo line search on the full step, first trying min(1, 4 x the last
+    accepted step); if the Newton step finds no decrease, the first CG
+    iterate (the preconditioned gradient step) is tried instead.  ``iters``
+    counts accepted Newton steps and ``solves`` every eigen solve made, the
+    direct k_p included.  Stops when the projected-gradient sup-norm drops
+    below tol ("converged"), when no step decreases the objective or three
+    steps in a row decrease it by less than the eigenvalue resolution
+    ("stagnated"), or after max_iters steps ("max_iters").
     """
     theta = (init.theta if init is not None else
              homogenized_theta(m, p).theta).copy()
     theta -= np.mean(theta)
     eig_tol = min(1e-10, tol)
-    lam, phi = _eigenpair(m, p, theta, eig_tol)
-    h = m.h
-    grad_norm = np.inf
+    lam, phi, op = _eigenpair(m, p, theta, eig_tol)
+    solves = 1
+    floor = 1e-12 * max(abs(lam), 1.0)  # eigenvalue resolution
     step = 1.0
-    momentum = np.zeros_like(theta)
-    beta = 0.0
     stagnant = 0
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        norm = h * ops._dot(phi, phi)
-        alpha_sq = phi * phi / norm
-        grad = 2.0 * m.a * (p + theta) * alpha_sq * h
-        grad -= np.mean(grad)
+    stop = "max_iters"
+    for iters in range(max_iters + 1):
+        u, ub, grad = _gradient(m, p, theta, phi)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm < tol:
+            stop = "converged"
             break
-        # mean-zero descent direction preconditioned by the diagonal
-        # curvature 2 a alpha^2 h (in whose metric the unit step is the
-        # natural scale), plus heavy-ball momentum: the eigenvector-response
-        # part of the Hessian makes the objective anisotropic and plain
-        # descent contracts by only 1 - O(1/kappa) per sweep
-        curv = 2.0 * m.a * alpha_sq * h
-        curv = np.maximum(curv, 1e-4 * np.max(curv))
-        mu = float(np.sum(grad / curv) / np.sum(1.0 / curv))
-        direction = (grad - mu) / curv
-        slope = ops._dot(grad, direction)
-        step = min(step * 2.0, 1.0)
-        lam_before = lam
-        accepted = False
-        for _ in range(40):
-            cand = theta - step * direction + beta * momentum
-            cand -= np.mean(cand)
-            lam_new, phi_new = _eigenpair(m, p, cand, eig_tol, v0=phi)
-            if lam_new <= lam - 1e-4 * step * slope:
-                momentum = cand - theta
-                theta, lam, phi = cand, lam_new, phi_new
-                accepted = True
-                beta = min(0.95, beta + 0.25)
+        if stagnant >= 3:
+            stop = "stagnated"
+            break
+        if iters == max_iters:
+            break
+        for direction in _newton_cg(op, lam, u, ub, 2.0 * m.a * u * u, grad):
+            accepted, n = _line_search(m, p, theta, lam, phi, direction,
+                                       ops._dot(grad, direction),
+                                       min(1.0, 4.0 * step), eig_tol, floor)
+            solves += n
+            if accepted is not None:
                 break
-            if beta > 0.0:
-                beta = 0.0  # drop momentum before shrinking the step
-            else:
-                step *= 0.5
-        if not accepted or lam_before - lam < 1e-12 * max(abs(lam), 1.0):
-            stagnant += 1
-            if not accepted and iters == 1:
-                raise NoConvergence(iters, grad_norm)
-            if stagnant >= 3:
-                break  # objective decrease at the eigenvalue-resolution floor
-        else:
-            stagnant = 0
+        if accepted is None:
+            if iters == 0:
+                raise NoConvergence(1, grad_norm)
+            stop = "stagnated"
+            break
+        lam_before = lam
+        step, theta, lam, phi, op = accepted
+        stagnant = stagnant + 1 if lam_before - lam < floor else 0
 
     field = ThetaField.from_raw(theta, project=True)
     kp_direct = ops.k_p(m, p, tol=eig_tol).lam
     return ThetaResult(theta=field, k0_value=lam, grad_norm=grad_norm,
-                       iters=iters, gap_vs_direct=lam - kp_direct)
+                       iters=iters, gap_vs_direct=lam - kp_direct,
+                       solves=solves + 1, stop=stop)
+
+
+def _newton_cg(op, lam, u, ub, curv, grad):
+    """Newton direction, then the first CG iterate if it differs.
+
+    The Hessian of the simple top eigenvalue is diag(curv) + 2 (u b) R (u b)
+    with curv = 2 a u^2 and R = (lam - A)^+ the reduced resolvent on the
+    complement of u.  R is applied by one cyclic tridiagonal solve with
+    (lam + delta) I - A, factored once here, with u projected out of the
+    right-hand side and of the result (the small delta keeps the matrix
+    nonsingular along u; every other eigenvalue of A lies below lam, so it
+    barely changes R there).  Projected PCG on the mean-zero
+    subspace, preconditioned by curv (floored at 1e-4 of its max) projected
+    to zero mean, runs until the preconditioned residual norm falls by 10x.
+    Its first iterate is the preconditioned gradient step, scaled to the
+    minimum of the quadratic model along it.
+    """
+    delta = 1e-8 * max(abs(lam), 1.0)
+    solver = CyclicTridiagonalSolver(-op.sub, (lam + delta) - op.diag, -op.sup)
+    inv_pc = 1.0 / np.maximum(curv, 1e-4 * np.max(curv))
+    inv_pc_sum = float(np.sum(inv_pc))
+
+    def hess(v):
+        w = ub * v
+        w -= ops._dot(u, w) * u
+        x = solver.solve(w)
+        x -= ops._dot(u, x) * u
+        hv = curv * v + 2.0 * ub * x
+        return hv - np.mean(hv)
+
+    def precond(r):
+        return (r - ops._dot(r, inv_pc) / inv_pc_sum) * inv_pc
+
+    r = -grad
+    z = precond(r)
+    rz = ops._dot(r, z)
+    rz_stop = 1e-2 * rz
+    d = z
+    x = np.zeros_like(grad)
+    first = None
+    for _ in range(200):
+        hd = hess(d)
+        dhd = ops._dot(d, hd)
+        if not dhd > 0.0:
+            break
+        alpha = rz / dhd
+        x = x + alpha * d
+        if first is None:
+            first = x
+        r = r - alpha * hd
+        z = precond(r)
+        rz_new = ops._dot(r, z)
+        if rz_new <= rz_stop:
+            break
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+    if first is None:
+        return (z,)
+    return (x,) if first is x else (x, first)
+
+
+def _line_search(m, p, theta, lam, phi, direction, slope, t, eig_tol, floor):
+    """Armijo backtracking along direction from step t.
+
+    After a rejected trial the step moves to the minimizer of the parabola
+    through lam, slope and the trial value, clipped to [0.1, 0.5] of the
+    step.  Gives up after 20 trials, or once the decrease t |slope| the
+    linear model predicts is below the eigenvalue resolution floor.  Returns
+    (step, theta, lam, phi, op) of the accepted point, or None, and the
+    number of eigen solves made.
+    """
+    solves = 0
+    while solves < 20 and -t * slope > floor:
+        cand = theta + t * direction
+        cand -= np.mean(cand)
+        lam_t, phi_t, op_t = _eigenpair(m, p, cand, eig_tol, v0=phi)
+        solves += 1
+        if lam_t <= lam + 1e-4 * t * slope:
+            return (t, cand, lam_t, phi_t, op_t), solves
+        fit = -slope * t * t / (2.0 * (lam_t - lam - slope * t))
+        t = min(max(fit, 0.1 * t), 0.5 * t)
+    return None, solves
 
 
 def theta_gradient(m: med.MediumRealization, p: float, theta: ThetaField,
                    tol: float = 1e-12) -> np.ndarray:
     """Mean-projected eigenvalue gradient at theta (for gradient checks)."""
-    lam, phi = _eigenpair(m, p, theta.theta, tol)
-    alpha_sq = phi * phi / (m.h * ops._dot(phi, phi))
-    grad = 2.0 * m.a * (p + theta.theta) * alpha_sq * m.h
-    return grad - np.mean(grad)
+    _, phi, _ = _eigenpair(m, p, theta.theta, tol)
+    return _gradient(m, p, theta.theta, phi)[2]
 
 
 def theta_closed_form(m: med.MediumRealization, p: float,

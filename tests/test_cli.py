@@ -64,12 +64,14 @@ def test_freidlin_commands(tmp_path):
     assert abs(data["value"] - 2.0) < 1e-3
 
 
-def test_variational_minimize(tmp_path):
+def test_variational_minimize(tmp_path, capsys):
     cfg = write_config(tmp_path, X=50.0)
     assert run(tmp_path, "variational", "minimize", "--p", "1.0",
                "--max-iters", "40", cfg=cfg) == 0
     summary = json.loads((tmp_path / "out" / "theta_summary.json").read_text())
     assert abs(summary["k0_value"] - 2.0) < 1e-6
+    assert summary["stop"] == "converged"
+    assert f"{summary['solves']} eigen solves, converged" in capsys.readouterr().out
     theta = np.frombuffer((tmp_path / "out" / "theta.f64").read_bytes(),
                           dtype="<f8")
     assert theta.shape[0] == summary["N"]
