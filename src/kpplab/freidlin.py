@@ -40,9 +40,18 @@ def _lambda1(m: med.MediumRealization, tol: float = 1e-8) -> float:
     return ops.k_p(m, 0.0, tol=tol).lam
 
 
+def _cell_fields(m: med.MediumRealization, ode_step: float):
+    """Cell width and a, c at the midpoints of the ceil(X / ode_step) cells."""
+    n = int(np.ceil(m.X / ode_step))
+    step = m.X / n
+    xs = step * (np.arange(n) + 0.5)
+    return step, med.field_at(m, "a", xs), med.field_at(m, "c", xs)
+
+
 def riccati_mu(m: med.MediumRealization, gamma: float,
                ode_step: float | None = None,
-               lambda1_estimate: float | None = None) -> float:
+               lambda1_estimate: float | None = None,
+               cells=None) -> float:
     """Lyapunov exponent mu(gamma) from the transfer-matrix product.
 
     The window is split into n = ceil(X / ode_step) cells (default ode_step
@@ -59,7 +68,9 @@ def riccati_mu(m: med.MediumRealization, gamma: float,
     radius of the one-period product P; the determinant is 1, so the growing
     and the decaying solutions share the rate.  Requires gamma > Lambda_1 +
     margin and gamma > max c (GammaBelowThreshold otherwise), and
-    ode_step <= h (StepTooCoarse otherwise).
+    ode_step <= h (StepTooCoarse otherwise).  A caller that evaluates
+    several gamma passes the samples ``_cell_fields(m, ode_step)`` as cells,
+    so the fields are sampled once, not once per gamma.
     """
     if ode_step is None:
         ode_step = m.h / 2.0
@@ -77,13 +88,10 @@ def riccati_mu(m: med.MediumRealization, gamma: float,
         raise GammaBelowThreshold(
             f"gamma={gamma:g} <= max c = {c_max:g}: cells would oscillate")
 
-    n = int(np.ceil(m.X / ode_step))
-    step = m.X / n
-    xs = step * (np.arange(n) + 0.5)
-    a = med.field_at(m, "a", xs)
-    k = np.sqrt((gamma - med.field_at(m, "c", xs)) / a)
+    step, a, c = _cell_fields(m, ode_step) if cells is None else cells
+    k = np.sqrt((gamma - c) / a)
     cosh, sinh = np.cosh(k * step), np.sinh(k * step)
-    mats = np.empty((n, 2, 2))
+    mats = np.empty((len(k), 2, 2))
     mats[:, 0, 0] = mats[:, 1, 1] = cosh
     mats[:, 0, 1] = sinh / (a * k)
     mats[:, 1, 0] = a * k * sinh
@@ -150,9 +158,10 @@ class MuCurve:
 def mu_curve(m: med.MediumRealization, gammas) -> MuCurve:
     lam1 = _lambda1(m)
     ode_step = m.h / 2.0
+    cells = _cell_fields(m, ode_step)
     gammas = np.asarray(sorted(float(g) for g in gammas))
-    mus = np.array([riccati_mu(m, g, ode_step, lambda1_estimate=lam1)
-                    for g in gammas])
+    mus = np.array([riccati_mu(m, g, ode_step, lambda1_estimate=lam1,
+                               cells=cells) for g in gammas])
     return MuCurve(gamma=gammas, mu=mus, lambda1_estimate=lam1,
                    margin=default_margin(lam1), realization_id=m.realization_id,
                    X=m.X, h=m.h, ode_step=ode_step)
@@ -172,9 +181,11 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate
     ode_step = m.h / 2.0
     c_max = float(np.max(m.c))
     gamma_lo = max(lam1 + 2.0 * margin, c_max + margin)
+    cells = _cell_fields(m, ode_step)
 
     def g(gamma: float) -> float:
-        return gamma / riccati_mu(m, gamma, ode_step, lambda1_estimate=lam1)
+        return gamma / riccati_mu(m, gamma, ode_step, lambda1_estimate=lam1,
+                                  cells=cells)
 
     lo, hi, evals = bracket_min(g, gamma_lo, 2.0 * gamma_lo + 1.0,
                                 max_expand=8, lo_floor=gamma_lo)

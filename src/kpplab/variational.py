@@ -57,7 +57,8 @@ class ThetaResult:
     k0_value: float
     grad_norm: float
     iters: int  # accepted Newton steps
-    gap_vs_direct: float  # k0_value - k_p from the direct tilted solve
+    kp_direct: float  # k_p from the direct tilted solve
+    gap_vs_direct: float  # k0_value - kp_direct
     solves: int  # eigen solves made, the direct k_p included
     stop: str  # "converged", "stagnated" or "max_iters"
 
@@ -151,7 +152,8 @@ def minimize_theta(m: med.MediumRealization, p: float,
     field = ThetaField.from_raw(theta, project=True)
     kp_direct = ops.k_p(m, p, tol=eig_tol).lam
     return ThetaResult(theta=field, k0_value=lam, grad_norm=grad_norm,
-                       iters=iters, gap_vs_direct=lam - kp_direct,
+                       iters=iters, kp_direct=kp_direct,
+                       gap_vs_direct=lam - kp_direct,
                        solves=solves + 1, stop=stop)
 
 

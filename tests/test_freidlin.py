@@ -108,6 +108,29 @@ def test_speed_search_evaluation_budget():
     assert fr.speed_freidlin(m, tol=1e-4).provenance["evals"] <= 15
 
 
+def test_speed_search_samples_fields_once(monkeypatch):
+    # a and c are sampled at the cell midpoints once per speed (and once per
+    # curve), not once per mu evaluation
+    m = dimer_medium(X=50.0, h=0.02, eps=0.2, jitter=0.3)
+    calls = []
+    field_at = med.field_at
+
+    def counting(m, name, xs):
+        calls.append(name)
+        return field_at(m, name, xs)
+
+    monkeypatch.setattr(med, "field_at", counting)
+    est = fr.speed_freidlin(m, tol=1e-4)
+    assert est.provenance["evals"] > 2
+    assert sorted(calls) == ["a", "c"]
+    calls.clear()
+    fr.mu_curve(m, [3.0, 4.0, 5.0])
+    assert sorted(calls) == ["a", "c"]
+    calls.clear()
+    fr.riccati_mu(m, 3.0)  # on its own it samples the fields itself
+    assert sorted(calls) == ["a", "c"]
+
+
 def test_mu_seed_spread_shrinks_with_window():
     spec = dimer_spec(eps=0.2, jitter=0.3)
     spreads = {}

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from kpplab import medium as med
 from kpplab import pde
+from kpplab.tridiag import SPDTridiagonalSolver
 
 from conftest import MASTER, constant_medium, dimer_medium
 
@@ -55,6 +57,61 @@ def test_solution_stays_in_unit_interval():
     _, u = pde.simulate(m, pde.ReactionSpec("logistic_c"), T=40.0, dt=0.1,
                         snapshot_every=2.0, keep_final=True)
     assert u.min() >= 0.0 and u.max() <= 1.0
+
+
+def test_block_solve_matches_full_window_imex():
+    # reference: the same IMEX scheme on the whole window, every step one
+    # banded LU solve of I - dt D with no-flux walls
+    m = dimer_medium(X=160.0, h=0.05, jitter=0.3)
+    dt, T = 0.05, 40.0
+    trace = pde.simulate(m, pde.ReactionSpec(), T=T, dt=dt, snapshot_every=1.0)
+    fac = dt / (m.h * m.h)
+    a_r = m.a_half.copy()
+    a_r[-1] = 0.0
+    a_l = np.concatenate([[0.0], a_r[:-1]])
+    ab = np.zeros((3, m.N))
+    ab[0, 1:] = -fac * a_r[:-1]
+    ab[1] = 1.0 + fac * (a_l + a_r)
+    ab[2, :-1] = -fac * a_l[1:]
+    u = pde.initial_datum(m)
+    every = int(round(1.0 / dt))
+    positions = [pde.front_position(u, m.h)]
+    for k in range(1, int(round(T / dt)) + 1):
+        u = solve_banded((1, 1), ab, u + dt * m.c * u * (1.0 - u))
+        if k % every == 0:
+            positions.append(pde.front_position(u, m.h))
+    assert len(positions) == len(trace.positions)
+    assert np.max(np.abs(np.array(positions) - trace.positions)) <= 1e-9
+
+
+def test_no_subnormal_tail():
+    # the block stops past the tail, so u never holds a subnormal entry
+    # (a full-window solve carries the datum's zero tail through that range)
+    m = constant_medium(X=400.0, h=0.05)
+    _, u = pde.simulate(m, pde.ReactionSpec(), T=5.0, dt=0.05,
+                        keep_final=True)
+    tiny = np.finfo(float).tiny
+    assert np.count_nonzero((u != 0.0) & (np.abs(u) < tiny)) == 0
+    assert u.min() >= 0.0
+
+
+def test_spd_solver_full_and_leading_block():
+    rng = np.random.default_rng(7)
+    n = 9
+    off = -rng.uniform(0.1, 1.0, n - 1)
+    diag = 2.5 + rng.uniform(0.0, 1.0, n)
+    A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    solver = SPDTridiagonalSolver(diag, off)
+    b = rng.standard_normal(n)
+    for j in (n, 2, 5):  # the full system and two leading blocks
+        x = b[:j].copy()
+        solver.solve(x)
+        assert np.allclose(x, np.linalg.solve(A[:j, :j], b[:j]), rtol=1e-13,
+                           atol=1e-14)
+    with pytest.raises(ValueError):
+        solver.solve(b[::2])  # pttrs would solve in a copy
+    with pytest.raises(np.linalg.LinAlgError):
+        SPDTridiagonalSolver(np.array([1.0, 1.0]), np.array([2.0]))
 
 
 def test_comparison_monotonicity_paired_seeds():

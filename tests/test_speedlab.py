@@ -151,6 +151,26 @@ def test_run_suite_writes_reproducible_payloads(tmp_path):
         assert file_sha(tmp_path / "run1" / rec["path"]) == rec["sha"]
 
 
+def test_eigen_properties_solves_each_cold_key_once(monkeypatch):
+    # k_0, the duality tilts on p_grid and the attainment k_p are read from
+    # solves the seed already made
+    from kpplab import operators as ops
+    cfg = small_config(X=60.0, seeds=1)
+    cold = []
+    k_p = ops.k_p
+
+    def counting(m, p, tol=1e-8, v0=None):
+        if v0 is None:
+            cold.append(float(p))
+        return k_p(m, p, tol=tol, v0=v0)
+
+    monkeypatch.setattr(ops, "k_p", counting)
+    lab.suite_eigen_properties(cfg)
+    on_grid = set(cfg["p_grid"])
+    assert 0.0 in on_grid and on_grid & set(cfg["duality_p_grid"])
+    assert len(cold) == len(set(cold))
+
+
 def test_statistical_slack_values():
     spec = med.spec_from_dict(DIMER_ENSEMBLE)
     c = np.array([0.5, 1.5, 0.5, 1.5])
