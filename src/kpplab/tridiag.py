@@ -55,13 +55,13 @@ class SPDTridiagonalSolver:
 
         b must be a contiguous float64 vector: pttrs solves in its storage.
         """
+        if b.dtype != np.float64 or not b.flags.c_contiguous:
+            raise ValueError("b must be a contiguous float64 vector")
         j = b.shape[0]
-        x, info = lapack.dpttrs(self._d[:j], self._e[:j - 1], b,
+        _, info = lapack.dpttrs(self._d[:j], self._e[:j - 1], b,
                                 overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"pttrs failed (info={info})")
-        if not np.shares_memory(x, b):
-            raise ValueError("b must be a contiguous float64 vector")
 
 
 class CyclicTridiagonalSolver:

@@ -59,11 +59,15 @@ def test_solution_stays_in_unit_interval():
     assert u.min() >= 0.0 and u.max() <= 1.0
 
 
-def test_block_solve_matches_full_window_imex():
+@pytest.mark.parametrize("m, dt, T", [
+    (dimer_medium(X=160.0, h=0.05, jitter=0.3), 0.05, 40.0),  # dt/h^2 = 20
+    # dt/h^2 = 1000: one step carries the tail thousands of nodes ahead, and
+    # a block that grew by a fixed pad per step would hold the front back
+    (constant_medium(c0=4.0, X=200.0, h=0.01), 0.1, 30.0),
+], ids=["dimer", "wide_step"])
+def test_block_solve_matches_full_window_imex(m, dt, T):
     # reference: the same IMEX scheme on the whole window, every step one
     # banded LU solve of I - dt D with no-flux walls
-    m = dimer_medium(X=160.0, h=0.05, jitter=0.3)
-    dt, T = 0.05, 40.0
     trace = pde.simulate(m, pde.ReactionSpec(), T=T, dt=dt, snapshot_every=1.0)
     fac = dt / (m.h * m.h)
     a_r = m.a_half.copy()

@@ -151,11 +151,16 @@ def test_run_suite_writes_reproducible_payloads(tmp_path):
         assert file_sha(tmp_path / "run1" / rec["path"]) == rec["sha"]
 
 
-def test_eigen_properties_solves_each_cold_key_once(monkeypatch):
+@pytest.mark.parametrize("grids", [
+    {},
+    # a JSON config may give integer tilts: they hit the float grid keys
+    {"p_grid": [-2, -1, 0, 1, 2], "duality_p_grid": [1, 1.5, 2]},
+], ids=["default", "integer_grid"])
+def test_eigen_properties_solves_each_cold_key_once(monkeypatch, grids):
     # k_0, the duality tilts on p_grid and the attainment k_p are read from
     # solves the seed already made
     from kpplab import operators as ops
-    cfg = small_config(X=60.0, seeds=1)
+    cfg = small_config(X=60.0, seeds=1, **grids)
     cold = []
     k_p = ops.k_p
 
