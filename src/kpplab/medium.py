@@ -239,17 +239,22 @@ class _PiecewiseProfile:
         out = vals[idx]
         order = np.argsort(xm, kind="stable")
         xs = xm[order]
+        # every smoothing zone [image - half, image + half] of every nonzero
+        # jump, its images one period left and right included, in the order
+        # (jump, image); np.add.at then sums the zones' overlaps in that order
+        live = jumps != 0.0
+        images = (self.starts[live, None]
+                  + np.array([-self.X, 0.0, self.X])).ravel()
+        zone_jump = np.repeat(jumps[live], 3)
+        i0 = np.searchsorted(xs, images - half, side="left")
+        i1 = np.searchsorted(xs, images + half, side="right")
+        count = np.maximum(i1 - i0, 0)
+        first = np.cumsum(count) - count
+        pos = np.arange(int(count.sum())) + np.repeat(i0 - first, count)
+        u = (xs[pos] - np.repeat(images, count)) / half
         add = np.zeros_like(xs)
-        for e, jump in zip(self.starts, jumps):
-            if jump == 0.0:
-                continue
-            for image in (e - self.X, e, e + self.X):
-                i0 = np.searchsorted(xs, image - half, side="left")
-                i1 = np.searchsorted(xs, image + half, side="right")
-                if i1 <= i0:
-                    continue
-                u = (xs[i0:i1] - image) / half
-                add[i0:i1] += jump * (_smooth_step(u) - (u >= 0.0))
+        np.add.at(add, pos, np.repeat(zone_jump, count)
+                  * (_smooth_step(u) - (u >= 0.0)))
         corr = np.empty_like(add)
         corr[order] = add
         # the monotone step response keeps the exact field inside the plateau

@@ -31,7 +31,7 @@ import numpy as np
 from . import medium as med
 from .optimize import bracket_min, brent_min
 from .results import NumericalFailure, SpeedEstimate
-from .tridiag import CyclicTridiagonalSolver
+from .tridiag import CyclicTridiagonalSolver, ShiftedCyclicSolver
 
 
 class PositivityViolation(NumericalFailure, ValueError):
@@ -75,7 +75,22 @@ class DiscreteOperator:
             arr.flags.writeable = False
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.sub * np.roll(v, 1) + self.diag * v + self.sup * np.roll(v, -1)
+        return _matvec_into(self, v, np.empty(self.N), np.empty(self.N))
+
+
+def _matvec_into(op: DiscreteOperator, v: np.ndarray, out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
+    """out = A v through slice shifts, using tmp as scratch; allocates nothing.
+
+    Sums in the order (sub v[i-1] + diag v[i]) + sup v[i+1].
+    """
+    np.multiply(op.sub[1:], v[:-1], out=out[1:])
+    out[0] = op.sub[0] * v[-1]
+    np.multiply(op.diag, v, out=tmp)
+    np.add(out, tmp, out=out)
+    np.multiply(op.sup[:-1], v[1:], out=tmp[:-1])
+    tmp[-1] = op.sup[-1] * v[0]
+    return np.add(out, tmp, out=out)
 
 
 @dataclass(frozen=True)
@@ -83,9 +98,12 @@ class EigenResult:
     """Principal eigenvalue with positive eigenfunction (max-normalized).
 
     ``iters`` counts inverse-iteration sweeps plus the Krylov dimension of
-    each Arnoldi jump; ``refactorizations`` counts the shift updates that
-    rebuilt the cyclic factorization after the first one; ``jumps`` counts
-    Arnoldi jumps.
+    each Arnoldi jump; ``refactorizations`` counts the shift updates after
+    the first shift (every sweep factors afresh, so it no longer counts
+    factorizations); ``jumps`` counts Arnoldi jumps.  ``cw_width`` is the
+    final Collatz-Wielandt width max_i (A phi)_i/phi_i - min_i (A phi)_i/phi_i:
+    both ``lam`` and the Perron root lie in that interval, so when the solve
+    stopped on it the width bounds the eigenvalue error.
     """
 
     lam: float
@@ -94,6 +112,7 @@ class EigenResult:
     iters: int
     refactorizations: int
     jumps: int
+    cw_width: float
     p: float
     N: int
     h: float
@@ -110,6 +129,7 @@ class EigenResult:
             "iters": self.iters,
             "refactorizations": self.refactorizations,
             "jumps": self.jumps,
+            "cw_width": self.cw_width,
             "p": self.p,
             "N": self.N,
             "h": self.h,
@@ -198,15 +218,18 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
 
     Inverse (shift-invert) power iteration on sigma*I - A with the shift
     steered by Collatz-Wielandt bounds: for any positive vector v the Perron
-    root lies in [min_i (Av)_i/v_i, max_i (Av)_i/v_i], so sigma can sit just
-    above the upper bound, and the resolvent of the shifted matrix stays
-    entrywise positive, keeping every iterate positive.  Each sweep costs one
-    O(N) cyclic tridiagonal factorization and solve.  When subdominant modes
+    root lies in [cw_lo, cw_hi] = [min_i (Av)_i/v_i, max_i (Av)_i/v_i], so
+    sigma can sit just above the upper bound, and the resolvent of the
+    shifted matrix stays entrywise positive, keeping every iterate positive.
+    Each sweep is one LAPACK dgtsv call (factor and solve at the current
+    shift) into buffers allocated once per call.  When subdominant modes
     cluster against the Perron root (long windows), the sweep contracts by
-    only 1 - O(gap) and a short Arnoldi run on the same factorization is used
-    to jump across the cluster.  Converged when successive eigenvalue
-    estimates differ by < tol and the residual
-    ||A phi - lam phi||_inf / ||phi||_inf is < tol.
+    only 1 - O(gap) and a short Arnoldi run on a factorization at the
+    current shift is used to jump across the cluster.  Converged when the
+    residual ||A phi - lam phi||_inf / ||phi||_inf is < tol and either
+    successive eigenvalue estimates differ by < tol or cw_hi - cw_lo < tol;
+    the Rayleigh quotient lam also lies in [cw_lo, cw_hi], so the width test
+    certifies |lam - lam1| < tol without a confirming sweep.
     """
     n = op.N
     if np.any(op.sub <= 0) or np.any(op.sup <= 0):
@@ -219,13 +242,26 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     # ulps of the largest matrix entry
     tol_eff = max(tol, 128.0 * np.finfo(float).eps * float(np.max(np.abs(op.diag))))
 
-    v = np.ones(n) if v0 is None else np.abs(np.asarray(v0, dtype=float))
-    v = v / np.max(v)
-    ratios0 = op.matvec(v) / np.maximum(v, 1e-300)
-    cw_hi = float(np.max(ratios0))
-    width = max(cw_hi - float(np.min(ratios0)), 1e-15 * scale)
+    # the whole workspace of the sweep: the iterate, A v and one scratch vector
+    v = np.empty(n)
+    av = np.empty(n)
+    tmp = np.empty(n)
+    if v0 is None:
+        v.fill(1.0)
+    else:
+        np.abs(np.asarray(v0, dtype=float), out=v)
+    v /= np.max(v)
+
+    def collatz_wielandt() -> tuple[float, float]:
+        np.maximum(v, 1e-300, out=tmp)
+        np.divide(av, tmp, out=tmp)
+        return float(np.min(tmp)), float(np.max(tmp))
+
+    _matvec_into(op, v, av, tmp)
+    cw_lo, cw_hi = collatz_wielandt()
+    width = max(cw_hi - cw_lo, 1e-15 * scale)
     sigma = cw_hi + max(0.01 * width, 1e-14 * scale)
-    solver = CyclicTridiagonalSolver(-op.sub, sigma - op.diag, -op.sup)
+    solver = ShiftedCyclicSolver(op.sub, op.diag, op.sup)
 
     lam = 0.5 * (float(np.min(rowsum)) + cw_hi)
     lam_prev = np.inf
@@ -238,17 +274,21 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     jumps = 0
     while iters < max_iters:
         iters += 1
-        y = solver.solve(v)
-        ymax = np.max(np.abs(y))
+        solver.solve(sigma, v, out=v)
+        np.abs(v, out=v)
+        ymax = np.max(v)
         if not np.isfinite(ymax) or ymax == 0.0:
             raise NoConvergence(iters, resid)
-        v = np.abs(y) / ymax
-        av = op.matvec(v)
-        ratios = av / np.maximum(v, 1e-300)
-        cw_lo, cw_hi = float(np.min(ratios)), float(np.max(ratios))
+        v /= ymax
+        _matvec_into(op, v, av, tmp)
+        cw_lo, cw_hi = collatz_wielandt()
         lam = _dot(v, av) / _dot(v, v)
-        resid = float(np.max(np.abs(av - lam * v)))
-        if resid < tol_eff and abs(lam - lam_prev) < tol_eff:
+        np.multiply(v, lam, out=tmp)
+        np.subtract(av, tmp, out=tmp)
+        np.abs(tmp, out=tmp)
+        resid = float(np.max(tmp))
+        if resid < tol_eff and (abs(lam - lam_prev) < tol_eff
+                                or cw_hi - cw_lo < tol_eff):
             break
         lam_prev = lam
 
@@ -257,7 +297,6 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         target = cw_hi + max(0.01 * width, 1e-14 * scale)
         if target < sigma - 1e-3 * (sigma - cw_hi):
             sigma = target
-            solver = CyclicTridiagonalSolver(-op.sub, sigma - op.diag, -op.sup)
             refactorizations += 1
 
         ratio = resid / resid_prev if resid_prev < np.inf else 0.0
@@ -270,12 +309,14 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
             stall = 0
             dim = min(jump_dim, n - 2, max_iters - iters)
             if dim >= 2:
-                u = _arnoldi_jump(solver, v, dim)
+                shifted = CyclicTridiagonalSolver(-op.sub, sigma - op.diag, -op.sup)
+                u = _arnoldi_jump(shifted, v, dim)
                 iters += dim
                 jumps += 1
                 umax = np.max(np.abs(u))
                 if umax > 0 and np.all(np.isfinite(u)):
-                    v = np.abs(u) / umax
+                    np.abs(u, out=v)
+                    v /= umax
                 jump_dim = min(jump_dim + 6, 30)
     else:
         raise NoConvergence(max_iters, resid)
@@ -284,8 +325,9 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     if np.min(phi) <= 0:
         raise NoConvergence(iters, resid)
     return EigenResult(lam=lam, phi=phi, residual=resid, iters=iters,
-                       refactorizations=refactorizations, jumps=jumps, p=op.p,
-                       N=n, h=op.h, X=op.X, source=op.source)
+                       refactorizations=refactorizations, jumps=jumps,
+                       cw_width=cw_hi - cw_lo, p=op.p, N=n, h=op.h, X=op.X,
+                       source=op.source)
 
 
 def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,

@@ -83,14 +83,18 @@ def statistical_slack(spec: med.EnsembleSpec, c_values: np.ndarray, X: float) ->
     return 3.0 * std / np.sqrt(X / spec.corr_length)
 
 
-def _per_seed(config: dict, one, threads: int) -> list[dict]:
+def _per_seed(config: dict, one, threads: int,
+              probe: med.MediumRealization | None = None) -> list[dict]:
     """Run one(m, stream) on the realization of each stream 0..seeds-1.
 
-    Results come back in stream order whatever the thread count, each dict
-    tagged with its "stream".
+    ``probe``, when given, is stream 0's realization, already sampled by the
+    suite, and is used as it is.  Results come back in stream order whatever
+    the thread count, each dict tagged with its "stream".
     """
     def task(stream):
-        return {"stream": stream, **one(_realization(config, stream), stream)}
+        m = (probe if stream == 0 and probe is not None
+             else _realization(config, stream))
+        return {"stream": stream, **one(m, stream)}
 
     streams = range(config["seeds"])
     if threads <= 1:
@@ -261,7 +265,7 @@ def suite_diffusion_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
             rec["identity_gap"][repr(kappa)] = abs(lhs - rhs)
         return rec
 
-    points = _per_seed(config, one, threads)
+    points = _per_seed(config, one, threads, probe)
     verdicts = [_gap_verdict(
         "diffusion linearity identity",
         "|k_p(kappa a, c) - kappa k_p(a, 0) - c|",
@@ -307,7 +311,7 @@ def suite_reaction_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
             w_b[repr(b)] = _eigen_speed(config, mb).value
         return {"w_base": w_base, "w_shifted": w_shift, "w_B": w_b}
 
-    points = _per_seed(config, one, threads)
+    points = _per_seed(config, one, threads, probe)
     noise = 3.0 * config["speed_tol"]
     verdicts = [_ensemble_verdict(
         "comparison w*(a, c) <= w*(a, c + shift)",
@@ -361,13 +365,13 @@ def suite_scaling_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
                 rec["identity_gap"][repr(L)] = gaps
         return rec
 
-    points = _per_seed(config, one, threads)
+    probe = _realization(config, 0)
+    points = _per_seed(config, one, threads, probe)
     verdicts = [_gap_verdict(
         "window rescaling identity",
         "|k_p(a_L, c_L) - k_{pL}(a, L^2 c)/L^2|",
         [g for p in points for gs in p["identity_gap"].values()
          for g in gs.values()], tol)]
-    probe = _realization(config, 0)
     noise = 3.0 * config["speed_tol"]
     diffs = _grid_diffs(points, "w", l_grid)
     verdicts.append(_ensemble_verdict(

@@ -39,6 +39,47 @@ def test_fixed_dimer_is_two_periodic():
     assert np.allclose(m.a, np.roll(m.a, period), atol=1e-13)
 
 
+def _looped_correction(prof, x, jumps):
+    # the jump-by-jump, image-by-image loop the vectorized evaluation replaced
+    xm = np.mod(x, prof.X)
+    half = prof.eps / 2.0
+    order = np.argsort(xm, kind="stable")
+    xs = xm[order]
+    add = np.zeros_like(xs)
+    for e, jump in zip(prof.starts, jumps):
+        if jump == 0.0:
+            continue
+        for image in (e - prof.X, e, e + prof.X):
+            i0 = np.searchsorted(xs, image - half, side="left")
+            i1 = np.searchsorted(xs, image + half, side="right")
+            if i1 <= i0:
+                continue
+            u = (xs[i0:i1] - image) / half
+            add[i0:i1] += jump * (med._smooth_step(u) - (u >= 0.0))
+    corr = np.empty_like(add)
+    corr[order] = add
+    return corr
+
+
+@pytest.mark.parametrize("spec,X,h", [
+    # smoothing zones of neighbouring jumps overlap: eps > period / 2
+    (med.PeriodicPiecewiseSpec(period=1.0, a_plus=2.0, a_minus=1.0,
+                               c_plus=1.5, c_minus=0.5, eps=0.7), 6.0, 0.01),
+    (dimer_spec(jitter=0.3), 100.0, 0.02),
+    (dimer_spec(a_plus=2.0, eps=0.1), 60.0, 0.005),
+], ids=["overlapping", "dimer", "dimer_varying_a"])
+def test_piecewise_profile_matches_loop(spec, X, h):
+    m = med.sample_realization(spec, MASTER, 1, X, h)
+    prof = med._profile_for(m)
+    x = m.x
+    for vals, jumps, field in ((prof.a_vals, prof.jump_a, m.a),
+                               (prof.c_vals, prof.jump_c, m.c)):
+        idx = np.searchsorted(prof.starts, np.mod(x, prof.X), side="right") - 1
+        ref = np.clip(vals[idx] + _looped_correction(prof, x, jumps),
+                      np.min(vals), np.max(vals))
+        assert np.array_equal(field, ref)
+
+
 def test_plateau_floors_are_exact():
     m = dimer_medium(X=100.0, h=0.01, eps=0.1, jitter=0.3)
     assert m.c.min() >= 0.5

@@ -7,6 +7,7 @@ from kpplab import medium as med
 from kpplab import operators as ops
 from kpplab import variational as var
 from kpplab.optimize import BracketFailure, bracket_min, brent_min
+from kpplab.tridiag import CyclicTridiagonalSolver, ShiftedCyclicSolver
 
 from conftest import MASTER, constant_medium, dimer_medium, dimer_spec, trig_spec
 
@@ -96,6 +97,61 @@ def test_small_window_matches_dense_eigvals(N, p):
     assert res.N == N
     assert abs(res.lam - ref) <= 1e-9
     assert np.min(res.phi) > 0
+
+
+def _shifted_systems():
+    m = dimer_medium(X=40.0, h=0.02, jitter=0.3)
+    for p in (0.0, 1.0):
+        op = ops.assemble_tilted(m, p)
+        rowsum = op.sub + op.diag + op.sup
+        for gap in (1e-3, 0.5):  # near and far above every row sum
+            yield op.sub, op.diag, op.sup, float(np.max(rowsum)) + gap
+    rng = np.random.default_rng(3)
+    yield rng.random(3) + 0.5, rng.random(3), rng.random(3) + 0.5, 4.0
+
+
+@pytest.mark.parametrize("sub,diag,sup,sigma", list(_shifted_systems()),
+                         ids=["p0_near", "p0_far", "p1_near", "p1_far", "n3"])
+def test_shifted_solve_matches_factored_solver_bitwise(sub, diag, sup, sigma):
+    b = np.random.default_rng(5).random(diag.shape[0]) + 0.1
+    ref = CyclicTridiagonalSolver(-sub, sigma - diag, -sup).solve(b)
+    solver = ShiftedCyclicSolver(sub, diag, sup)
+    out = np.empty_like(b)
+    for _ in range(2):  # the buffers are overwritten in place on every solve
+        assert np.array_equal(solver.solve(sigma, b, out), ref)
+    assert solver.solve(sigma, b.copy(), out=b) is b
+    assert np.array_equal(b, ref)
+
+
+def test_sweep_makes_one_gtsv_call_and_no_gttrf(monkeypatch):
+    from scipy.linalg import lapack
+    calls = {"dgtsv": 0, "dgttrf": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(lapack, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, counted)
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    res = ops.principal_eigen(ops.assemble_tilted(m, 1.0), tol=1e-10)
+    assert res.jumps == 0
+    assert calls == {"dgtsv": res.iters, "dgttrf": 0}
+
+
+@pytest.mark.parametrize("N", [100, 400])
+def test_width_certified_stop_matches_dense_eigvals(N):
+    # at tol=1e-8 these solves stop on the Collatz-Wielandt width, one sweep
+    # before successive estimates would agree to tol
+    h, tol = 0.05, 1e-8
+    m = dimer_medium(X=N * h, h=h, jitter=0.3)
+    op = ops.assemble_tilted(m, 1.0)
+    res = ops.principal_eigen(op, tol=tol)
+    dense = np.diag(op.diag)
+    idx = np.arange(N)
+    dense[idx, (idx - 1) % N] += op.sub
+    dense[idx, (idx + 1) % N] += op.sup
+    ref = float(np.max(np.linalg.eigvals(dense).real))
+    assert res.cw_width < tol
+    assert abs(res.lam - ref) <= tol
 
 
 def test_sweep_reductions_bypass_blas(monkeypatch):
@@ -256,8 +312,8 @@ def test_eigenresult_serializes():
     d = res.to_dict()
     assert d["lambda"] == res.lam
     assert d["realization_id"] == m.realization_id
-    assert (d["iters"], d["refactorizations"], d["jumps"]) == (
-        res.iters, res.refactorizations, res.jumps)
+    assert (d["iters"], d["refactorizations"], d["jumps"], d["cw_width"]) == (
+        res.iters, res.refactorizations, res.jumps, res.cw_width)
     assert "phi" not in d
 
 

@@ -176,6 +176,30 @@ def test_eigen_properties_solves_each_cold_key_once(monkeypatch, grids):
     assert len(cold) == len(set(cold))
 
 
+@pytest.mark.parametrize("suite,ensemble,distinct", [
+    ("reaction_monotonicity", DIMER_ENSEMBLE, 2),
+    ("diffusion_monotonicity", CONST_ENSEMBLE, 2),
+    # per seed: the seed's medium and the h/2 medium of the L=2 identity
+    ("scaling_monotonicity", DIMER_ENSEMBLE, 4),
+], ids=["reaction", "diffusion", "scaling"])
+def test_suites_sample_each_medium_once(monkeypatch, suite, ensemble, distinct):
+    # the stream-0 probe a suite validates its config on is the medium its
+    # per-seed map uses for stream 0
+    cfg = small_config(ensemble=ensemble, X=20.0, h=0.05, seeds=2,
+                       kappa_grid=[1.0, 2.0], B_grid=[0.0, 0.2],
+                       L_grid=[0.5, 1.0, 2.0])
+    sampled = []
+    sample = med.sample_realization
+
+    def counting(spec, master_seed, stream_id, X, h):
+        sampled.append((stream_id, X, h))
+        return sample(spec, master_seed, stream_id, X, h)
+
+    monkeypatch.setattr(med, "sample_realization", counting)
+    lab.SUITES[suite](cfg)
+    assert len(sampled) == len(set(sampled)) == distinct
+
+
 def test_statistical_slack_values():
     spec = med.spec_from_dict(DIMER_ENSEMBLE)
     c = np.array([0.5, 1.5, 0.5, 1.5])
