@@ -61,10 +61,9 @@ def riccati_mu(m: med.MediumRealization, gamma: float,
         [[cosh ks, sinh ks / (a k)], [a k sinh ks, cosh ks]]
 
     with k = sqrt((gamma - c) / a), which has determinant 1 and positive
-    entries.  The n matrices are multiplied by pairwise tree reduction;
-    after each level every partial product is divided by its largest entry
-    and the log of that scale is carried, so windows whose product exceeds
-    the float range stay finite.  mu = log rho(P) / X, rho the spectral
+    entries.  The n matrices are multiplied by the renormalized pairwise
+    tree product of ``_tree_product``, so windows whose product exceeds the
+    float range stay finite.  mu = log rho(P) / X, rho the spectral
     radius of the one-period product P; the determinant is 1, so the growing
     and the decaying solutions share the rate.  Requires gamma > Lambda_1 +
     margin and gamma > max c (GammaBelowThreshold otherwise), and
@@ -91,26 +90,38 @@ def riccati_mu(m: med.MediumRealization, gamma: float,
     step, a, c = _cell_fields(m, ode_step) if cells is None else cells
     k = np.sqrt((gamma - c) / a)
     cosh, sinh = np.cosh(k * step), np.sinh(k * step)
-    mats = np.empty((len(k), 2, 2))
-    mats[:, 0, 0] = mats[:, 1, 1] = cosh
-    mats[:, 0, 1] = sinh / (a * k)
-    mats[:, 1, 0] = a * k * sinh
-    log_scale = 0.0
-    while len(mats) > 1:
-        # cell j + 1 acts after cell j; an odd leftover stays last
-        prod = mats[1::2] @ mats[:-1:2]
-        if len(mats) % 2:
-            prod = np.concatenate([prod, mats[-1:]])
-        # elementwise maximum of the four entries (a reduction over the tiny
-        # trailing axes is several times slower)
-        scale = np.maximum.reduce([prod[:, 0, 0], prod[:, 0, 1],
-                                   prod[:, 1, 0], prod[:, 1, 1]])
-        log_scale += float(np.log(scale).sum())
-        mats = prod / scale[:, None, None]
-    (p00, p01), (p10, p11) = mats[0]
+    (p00, p01, p10, p11), log_scale = _tree_product(
+        cosh, sinh / (a * k), a * k * sinh, cosh)
     trace, det = p00 + p11, p00 * p11 - p01 * p10
     rho = 0.5 * (trace + np.sqrt(max(trace * trace - 4.0 * det, 0.0)))
     return float((log_scale + np.log(rho)) / m.X)
+
+
+def _tree_product(m00: np.ndarray, m01: np.ndarray, m10: np.ndarray,
+                  m11: np.ndarray) -> tuple[tuple[float, ...], float]:
+    """Ordered product M[n-1] ... M[1] M[0] of n 2x2 matrices, renormalized.
+
+    The matrices are given by their four entry arrays.  Pairwise tree
+    reduction: cell j + 1 acts after cell j, and an odd leftover stays last.
+    Each product is formed entry by entry on the arrays (several times faster
+    than a batched (n, 2, 2) matmul); after each level every partial product
+    is divided by its largest entry and the log of that scale is summed, so
+    products beyond the float range stay finite.  Returns the four entries of
+    the scaled product and the log of the scale divided out.
+    """
+    log_scale = 0.0
+    while len(m00) > 1:
+        b00, b01, b10, b11 = m00[1::2], m01[1::2], m10[1::2], m11[1::2]
+        a00, a01, a10, a11 = m00[:-1:2], m01[:-1:2], m10[:-1:2], m11[:-1:2]
+        q = [b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
+             b10 * a00 + b11 * a10, b10 * a01 + b11 * a11]
+        if len(m00) % 2:
+            q = [np.append(qi, mi[-1]) for qi, mi in zip(q, (m00, m01, m10, m11))]
+        # the entries are positive, so the largest one is the scale
+        scale = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+        log_scale += float(np.log(scale).sum())
+        m00, m01, m10, m11 = (np.divide(qi, scale, out=qi) for qi in q)
+    return (float(m00[0]), float(m01[0]), float(m10[0]), float(m11[0])), log_scale
 
 
 @dataclass(frozen=True)
@@ -170,32 +181,39 @@ def mu_curve(m: med.MediumRealization, gammas) -> MuCurve:
 def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate:
     """Spreading speed via the Lyapunov formula w* = min_{gamma} gamma/mu(gamma).
 
-    The bracket grows geometrically from gamma_0 = Lambda_1 + 2*margin (never
-    below the max-c exclusion threshold); Brent minimization, seeded with the
-    bracket's values, runs to relative tolerance tol in gamma.  The returned
-    provenance records the number of mu evaluations and whether the
-    minimizer sat against the exclusion boundary.
+    The objective is written over x = gamma - Lambda_1 > 0, in which it is a
+    cosh in log x for a homogeneous medium (gamma - Lambda_1 = a mu^2).  The
+    bracket grows geometrically in x from x_0 = gamma_0 - Lambda_1, with
+    gamma_0 = Lambda_1 + 2*margin never below the max-c exclusion threshold
+    (so x_0 > 0 is also the bracket's floor); Brent minimization, seeded
+    with the bracket's values, runs over log x to relative tolerance tol in
+    x (about 8-9 mu evaluations).  The returned provenance records the
+    number of mu evaluations and whether the minimizer sat against the
+    exclusion boundary.
     """
     lam1 = _lambda1(m)
     margin = default_margin(lam1)
     ode_step = m.h / 2.0
     c_max = float(np.max(m.c))
     gamma_lo = max(lam1 + 2.0 * margin, c_max + margin)
+    x_lo = gamma_lo - lam1
     cells = _cell_fields(m, ode_step)
 
-    def g(gamma: float) -> float:
+    def g(x: float) -> float:
+        gamma = lam1 + x
         return gamma / riccati_mu(m, gamma, ode_step, lambda1_estimate=lam1,
                                   cells=cells)
 
-    lo, hi, evals = bracket_min(g, gamma_lo, 2.0 * gamma_lo + 1.0,
-                                max_expand=8, lo_floor=gamma_lo)
-    gamma_star, w, evals = brent_min(g, lo, hi, evals, rel_tol=tol)
+    lo, hi, evals = bracket_min(g, x_lo, 2.0 * gamma_lo + 1.0 - lam1,
+                                max_expand=8, lo_floor=x_lo)
+    x_star, w, evals = brent_min(g, lo, hi, evals, rel_tol=tol)
+    gamma_star = lam1 + x_star
     mu_star = gamma_star / w
-    gs = sorted(evals)
-    i = gs.index(gamma_star)
-    nbrs = [evals[q] for q in gs[max(0, i - 1):i + 2]]
+    xs = sorted(evals)
+    i = xs.index(x_star)
+    nbrs = [evals[q] for q in xs[max(0, i - 1):i + 2]]
     err = max(max(nbrs) - w, 0.0) + tol * w
-    at_boundary = gamma_star <= gamma_lo * (1.0 + 2.0 * tol)
+    at_boundary = x_star <= x_lo * (1.0 + 2.0 * tol)
     return SpeedEstimate(
         value=w, method="freidlin", optimizer=gamma_star, err=err,
         provenance={

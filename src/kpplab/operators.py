@@ -74,9 +74,6 @@ class DiscreteOperator:
         for arr in (self.sub, self.diag, self.sup):
             arr.flags.writeable = False
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return _matvec_into(self, v, np.empty(self.N), np.empty(self.N))
-
 
 def _matvec_into(op: DiscreteOperator, v: np.ndarray, out: np.ndarray,
                  tmp: np.ndarray) -> np.ndarray:
@@ -348,9 +345,11 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     The bracket is validated (the map must be decreasing at p_lo and
     increasing at p_hi) and expanded geometrically up to 8 times per side;
     Brent minimization then starts from the bracket's eigen solves and runs
-    to relative tolerance tol in p.  The first eigen solve starts cold; later
-    solves warm-start from each other, and the residual of each is kept for
-    the error bar at the minimizer.
+    over log p to relative tolerance tol in p (about 8 solves in all).  The
+    first eigen solve starts cold; later solves warm-start from each other,
+    and the residual of each is kept for the error bar at the minimizer.
+    The provenance counts the Perron sweeps of the whole search
+    (``sweeps``, the sum of ``EigenResult.iters``).
     """
     if not (0 < p_lo < p_hi):
         raise ValueError("need 0 < p_lo < p_hi")
@@ -359,11 +358,14 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
 
     warm: dict[str, np.ndarray | None] = {"phi": None}
     residuals: dict[float, float] = {}
+    sweeps = 0
 
     def g(p: float) -> float:
+        nonlocal sweeps
         res = k_p(m, p, tol=eig_tol, v0=warm["phi"])
         warm["phi"] = res.phi
         residuals[p] = res.residual
+        sweeps += res.iters
         return res.lam / p
 
     lo, hi, evals = bracket_min(g, p_lo, p_hi, max_expand=8, lo_floor=0.0)
@@ -378,7 +380,7 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
         provenance={
             "realization_id": m.realization_id, "X": m.X, "h": m.h,
             "tol": tol, "eig_tol": eig_tol, "eig_residual": resid,
-            "kp_evals": {repr(q): evals[q] * q for q in ps},
+            "kp_evals": {repr(q): evals[q] * q for q in ps}, "sweeps": sweeps,
         })
 
 

@@ -57,29 +57,40 @@ def bracket_min(f, lo: float, hi: float, grow: float = 2.0, max_expand: int = 8,
 
 def brent_min(f, lo: float, hi: float, evals: dict, rel_tol: float = 1e-4,
               max_iters: int = 200):
-    """Brent minimization of a unimodal f on a bracket from bracket_min.
+    """Brent minimization of a unimodal f of a positive variable, in its log.
 
     Parabolic interpolation through the three best points, with a
-    golden-section step whenever the parabola is not trusted.  The search
-    starts at the best point of ``evals`` inside (lo, hi), with lo and hi as
-    the other two points, so the first step is the parabola through known
-    values; no point is evaluated twice.  It stops when the bracket around
-    the best point x is narrower than rel_tol * |x|.  Returns
+    golden-section step whenever the parabola is not trusted, run over
+    t = log x on the bracket 0 < lo < hi from bracket_min.  Both speed
+    objectives are a cosh in the log of their variable in a homogeneous
+    medium (c/p + a p = 2 sqrt(ac) cosh(log p - log p*)), which a parabola in
+    t fits and one in x does not.  The search starts at the best point of
+    ``evals`` inside (lo, hi), with lo and hi as the other two points, so the
+    first step is the parabola through known values; no point is evaluated
+    twice, and evals stays keyed by the points evaluated (the bracket's own
+    keys, not exp(log x)).  It stops when the bracket around the best point
+    is narrower than rel_tol in t, a relative rel_tol in x.  Returns
     (x_min, f_min, evals) with evals the dict of all evaluated points.
     """
-    def value(x: float) -> float:
+    if not 0.0 < lo < hi:
+        raise ValueError("brent_min needs a bracket 0 < lo < hi")
+    # a, b, x, w, v and u below are logs; xs maps each log to its point
+    xs = {math.log(x): x for x in evals}
+
+    def value(t: float) -> float:
+        x = xs.setdefault(t, math.exp(t))
         if x not in evals:
             evals[x] = f(x)
         return evals[x]
 
-    a, b = lo, hi
-    x = min((q for q in evals if a < q < b), key=value)
+    a, b = math.log(lo), math.log(hi)
+    x = min((q for q in xs if a < q < b), key=value)
     w, v = a, b
     fx, fw, fv = value(x), value(w), value(v)
     d = e = b - a
+    tol1 = 0.25 * rel_tol
     for _ in range(max_iters):
         xm = 0.5 * (a + b)
-        tol1 = 0.25 * rel_tol * max(abs(x), 1e-300)
         if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
             break
         # vertex x + p/q of the parabola through v, w and x
@@ -109,4 +120,4 @@ def brent_min(f, lo: float, hi: float, evals: dict, rel_tol: float = 1e-4,
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return x, fx, evals
+    return xs[x], fx, evals
