@@ -53,16 +53,10 @@ def _write_dat(path: Path, rows, header: str) -> Path:
     return path
 
 
-def _sample(cfg, stream: int, h: float | None = None):
-    return med.sample_realization(med.spec_from_dict(cfg["ensemble"]),
-                                  cfg["master_seed"], stream, cfg["X"],
-                                  cfg["h"] if h is None else h)
-
-
 def cmd_medium_sample(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    m = _sample(cfg, args.stream)
+    m = lab._realization(cfg, args.stream)
     path = med.save_realization(m, out / f"medium_{args.stream}.kppm")
     em = med.empirical_means(m)
     print(f"wrote {path} (N={m.N}, X={m.X:g}, h={m.h:g}); "
@@ -74,13 +68,15 @@ def cmd_medium_sample(args) -> int:
 def cmd_eigen_kp(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    m = _sample(cfg, args.stream)
+    m = lab._realization(cfg, args.stream)
     ps = np.linspace(args.p_min, args.p_max, args.p_count)
     curve = ops.kp_curve(m, ps, tol=cfg["tol"])
     _write_dat(out / "kp_curve.dat", curve, "p  k_p")
     res = ops.k_p(m, args.p, tol=cfg["tol"])
     payload = out / "kp.json"
-    payload.write_text(json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n")
+    record = {**res.to_dict(), "p": args.p, "N": m.N, "h": m.h, "X": m.X,
+              "realization_id": m.realization_id}
+    payload.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"k_p(p={args.p:g}) = {res.lam!r}  residual={res.residual:.2e} "
           f"iters={res.iters}")
     return EXIT_OK
@@ -89,7 +85,7 @@ def cmd_eigen_kp(args) -> int:
 def cmd_eigen_speed(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    m = _sample(cfg, args.stream)
+    m = lab._realization(cfg, args.stream)
     est = ops.speed_from_kp(m, cfg["p_lo"], cfg["p_hi"], tol=cfg["speed_tol"])
     rows = sorted((float(k), v) for k, v in est.provenance["kp_evals"].items())
     _write_dat(out / "kp_curve.dat", rows, "p  k_p")
@@ -102,7 +98,7 @@ def cmd_eigen_speed(args) -> int:
 def cmd_freidlin_mu(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    m = _sample(cfg, args.stream)
+    m = lab._realization(cfg, args.stream)
     lam1 = ops.k_p(m, 0.0, tol=cfg["tol"]).lam
     lo = args.gamma_min if args.gamma_min is not None else max(
         lam1 + 2 * fr.default_margin(lam1),
@@ -121,7 +117,7 @@ def cmd_freidlin_mu(args) -> int:
 def cmd_freidlin_speed(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    m = _sample(cfg, args.stream)
+    m = lab._realization(cfg, args.stream)
     est = fr.speed_freidlin(m, tol=cfg["speed_tol"])
     (out / "speed_freidlin.json").write_text(
         json.dumps(est.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -133,7 +129,7 @@ def cmd_freidlin_speed(args) -> int:
 def cmd_variational_minimize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    m = _sample(cfg, args.stream)
+    m = lab._realization(cfg, args.stream)
     if args.p is not None:
         p = args.p
     else:
@@ -164,7 +160,7 @@ def cmd_pde_run(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     pcfg = cfg["pde"]
-    m = _sample(cfg, args.stream, pcfg["h"])
+    m = lab._realization(cfg, args.stream, pcfg["h"])
     trace = pde.simulate(m, pde.ReactionSpec("logistic_c"), T=pcfg["T"],
                          dt=pcfg["dt"], snapshot_every=pcfg["snapshot_every"])
     trace.to_csv(out / "front.csv")
@@ -178,7 +174,7 @@ def cmd_pde_speed(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     pcfg = cfg["pde"]
-    m = _sample(cfg, args.stream, pcfg["h"])
+    m = lab._realization(cfg, args.stream, pcfg["h"])
     trace = pde.simulate(m, pde.ReactionSpec("logistic_c"), T=pcfg["T"],
                          dt=pcfg["dt"], snapshot_every=pcfg["snapshot_every"])
     est = pde.front_speed(trace, pcfg["fit_fraction"])
@@ -192,11 +188,11 @@ def cmd_pde_dichotomy(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     pcfg = cfg["pde"]
-    m = _sample(cfg, args.stream, pcfg["h"])
+    m = lab._realization(cfg, args.stream, pcfg["h"])
     if args.w_star is not None:
         w = args.w_star
     else:
-        w = ops.speed_from_kp(_sample(cfg, args.stream), cfg["p_lo"],
+        w = ops.speed_from_kp(lab._realization(cfg, args.stream), cfg["p_lo"],
                               cfg["p_hi"], tol=cfg["speed_tol"]).value
     report = pde.dichotomy_check(m, pde.ReactionSpec("logistic_c"), w,
                                  args.deltas, T=args.T, dt=pcfg["dt"])

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import medium as med
 from . import operators as ops
-from .optimize import bracket_min, brent_min
+from .optimize import minimize_log
 from .results import NumericalFailure, SpeedEstimate
 
 
@@ -182,12 +182,14 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate
     """Spreading speed via the Lyapunov formula w* = min_{gamma} gamma/mu(gamma).
 
     The objective is written over x = gamma - Lambda_1 > 0, in which it is a
-    cosh in log x for a homogeneous medium (gamma - Lambda_1 = a mu^2).  The
-    bracket grows geometrically in x from x_0 = gamma_0 - Lambda_1, with
-    gamma_0 = Lambda_1 + 2*margin never below the max-c exclusion threshold
-    (so x_0 > 0 is also the bracket's floor); Brent minimization, seeded
-    with the bracket's values, runs over log x to relative tolerance tol in
-    x (about 8-9 mu evaluations).  The returned provenance records the
+    cosh in log x for a homogeneous medium (gamma - Lambda_1 = a mu^2).  One
+    ``minimize_log`` search: the bracket starts at x_0 = gamma_0 - Lambda_1,
+    with gamma_0 = Lambda_1 + 2*margin never below the max-c exclusion
+    threshold, and x_0 > 0 is also its floor, so while the objective at x_0
+    is not above the bracket's midpoint the bracket contracts toward x_0;
+    otherwise it grows geometrically.  Brent minimization, seeded with the
+    bracket's values, runs over log x to relative tolerance tol in x (about
+    8-9 mu evaluations).  The returned provenance records the
     number of mu evaluations and whether the minimizer sat against the
     exclusion boundary.
     """
@@ -204,15 +206,11 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate
         return gamma / riccati_mu(m, gamma, ode_step, lambda1_estimate=lam1,
                                   cells=cells)
 
-    lo, hi, evals = bracket_min(g, x_lo, 2.0 * gamma_lo + 1.0 - lam1,
-                                max_expand=8, lo_floor=x_lo)
-    x_star, w, evals = brent_min(g, lo, hi, evals, rel_tol=tol)
+    x_star, w, evals, spread = minimize_log(
+        g, x_lo, 2.0 * gamma_lo + 1.0 - lam1, tol, floor=x_lo)
     gamma_star = lam1 + x_star
     mu_star = gamma_star / w
-    xs = sorted(evals)
-    i = xs.index(x_star)
-    nbrs = [evals[q] for q in xs[max(0, i - 1):i + 2]]
-    err = max(max(nbrs) - w, 0.0) + tol * w
+    err = spread + tol * w
     at_boundary = x_star <= x_lo * (1.0 + 2.0 * tol)
     return SpeedEstimate(
         value=w, method="freidlin", optimizer=gamma_star, err=err,

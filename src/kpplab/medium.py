@@ -318,7 +318,8 @@ def _build_profile(spec: EnsembleSpec, child_seed: int, X: float):
         # dominate the principal eigenvalue
         lengths: list[float] = []
         total = 0.0
-        while total < X or len(lengths) % 2 == 1:
+        # the sum can land a rounding error short of X: count that as covered
+        while total < X * (1.0 - 1e-9) or len(lengths) % 2 == 1:
             mean_len = spec.len1 if len(lengths) % 2 == 0 else spec.len2
             if spec.length_dist == "uniform":
                 length = mean_len + rng.uniform(-spec.jitter, spec.jitter)
@@ -356,8 +357,9 @@ class MediumRealization:
     """One sampled medium on an X-periodic window with N = X/h nodes.
 
     Arrays are read-only; a_half[i] is the flux coefficient at node i + 1/2,
-    defined as the arithmetic mean of the neighbouring node values so that the
-    serialized (a, c) pair reconstructs the realization exactly.
+    the arithmetic mean of the neighbouring node values of a, computed here
+    and nowhere else, so that the serialized (a, c) pair reconstructs the
+    realization exactly.
     ``scale`` records accumulated rescalings x -> x/scale of the parent
     profile (scale == 1 for a fresh sample).
     """
@@ -367,14 +369,15 @@ class MediumRealization:
     N: int
     a: np.ndarray
     c: np.ndarray
-    a_half: np.ndarray
     master_seed: int
     stream_id: int
     realization_id: int
     ensemble: EnsembleSpec | None
     scale: float = 1.0
+    a_half: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "a_half", 0.5 * (self.a + np.roll(self.a, -1)))
         for arr in (self.a, self.c, self.a_half):
             arr.flags.writeable = False
         if np.any(self.a <= 0) or np.any(self.a_half <= 0):
@@ -399,11 +402,8 @@ def _make_realization(spec, master_seed, stream_id, X, h, scale, profile,
     n = int(round(X / h))
     x = np.arange(n) * h
     args = np.mod(x / scale, X / scale) if scale != 1.0 else x
-    a = profile.a(args)
-    c = profile.c(args)
-    a_half = 0.5 * (a + np.roll(a, -1))
     return MediumRealization(
-        h=float(h), X=float(X), N=n, a=a, c=c, a_half=a_half,
+        h=float(h), X=float(X), N=n, a=profile.a(args), c=profile.c(args),
         master_seed=int(master_seed), stream_id=int(stream_id),
         realization_id=rid, ensemble=spec, scale=float(scale),
     )
@@ -501,7 +501,7 @@ def replace_c(m: MediumRealization, new_c: np.ndarray, tag: str) -> MediumRealiz
         np.uint64(m.realization_id).tobytes(), tag.encode(), new_c.tobytes())
     return MediumRealization(
         h=m.h, X=m.X, N=m.N, a=m.a.copy(), c=new_c,
-        a_half=m.a_half.copy(), master_seed=m.master_seed, stream_id=m.stream_id,
+        master_seed=m.master_seed, stream_id=m.stream_id,
         realization_id=rid, ensemble=None, scale=m.scale)
 
 
@@ -514,7 +514,7 @@ def scale_a(m: MediumRealization, kappa: float) -> MediumRealization:
         np.float64(kappa).tobytes())
     return MediumRealization(
         h=m.h, X=m.X, N=m.N, a=kappa * m.a, c=m.c.copy(),
-        a_half=kappa * m.a_half, master_seed=m.master_seed,
+        master_seed=m.master_seed,
         stream_id=m.stream_id, realization_id=rid, ensemble=None, scale=m.scale)
 
 
@@ -585,8 +585,7 @@ def load_realization(path: str | Path) -> MediumRealization:
         meta = json.loads(sidecar_path.read_text())
         if meta.get("ensemble") is not None:
             spec = spec_from_dict(meta["ensemble"])
-    a_half = 0.5 * (a + np.roll(a, -1))
     return MediumRealization(
-        h=h, X=X, N=n, a=a, c=c, a_half=a_half,
+        h=h, X=X, N=n, a=a, c=c,
         master_seed=master_seed, stream_id=stream_id, realization_id=rid,
         ensemble=spec, scale=scale)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import medium as med
-from .optimize import bracket_min, brent_min
+from .optimize import minimize_log
 from .results import NumericalFailure, SpeedEstimate
 from .tridiag import CyclicTridiagonalSolver, ShiftedCyclicSolver
 
@@ -67,8 +67,6 @@ class DiscreteOperator:
     diag: np.ndarray
     sup: np.ndarray
     p: float
-    source: int  # realization_id
-    X: float
 
     def __post_init__(self):
         for arr in (self.sub, self.diag, self.sup):
@@ -110,11 +108,6 @@ class EigenResult:
     refactorizations: int
     jumps: int
     cw_width: float
-    p: float
-    N: int
-    h: float
-    X: float
-    source: int
 
     def __post_init__(self):
         self.phi.flags.writeable = False
@@ -127,11 +120,6 @@ class EigenResult:
             "refactorizations": self.refactorizations,
             "jumps": self.jumps,
             "cw_width": self.cw_width,
-            "p": self.p,
-            "N": self.N,
-            "h": self.h,
-            "X": self.X,
-            "realization_id": self.source,
         }
 
 
@@ -151,8 +139,7 @@ def _assemble(m: med.MediumRealization, p: float, zero_order: np.ndarray) -> Dis
     # the diagonal reuses the rounded flux terms so that row sums vanish
     # exactly (in floating point) when p = 0 and the zero-order term is 0
     diag = -(flux_l + flux_r) + (p * p) * m.a + zero_order
-    return DiscreteOperator(N=m.N, h=h, sub=sub, diag=diag, sup=sup, p=p,
-                            source=m.realization_id, X=m.X)
+    return DiscreteOperator(N=m.N, h=h, sub=sub, diag=diag, sup=sup, p=p)
 
 
 def assemble_tilted(m: med.MediumRealization, p: float) -> DiscreteOperator:
@@ -323,8 +310,7 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         raise NoConvergence(iters, resid)
     return EigenResult(lam=lam, phi=phi, residual=resid, iters=iters,
                        refactorizations=refactorizations, jumps=jumps,
-                       cw_width=cw_hi - cw_lo, p=op.p, N=n, h=op.h, X=op.X,
-                       source=op.source)
+                       cw_width=cw_hi - cw_lo)
 
 
 def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
@@ -342,17 +328,16 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
                   tol: float = 1e-4, eig_tol: float | None = None) -> SpeedEstimate:
     """Spreading speed from the eigenvalue formula w* = min_{p>0} k_p / p.
 
-    The bracket is validated (the map must be decreasing at p_lo and
-    increasing at p_hi) and expanded geometrically up to 8 times per side;
-    Brent minimization then starts from the bracket's eigen solves and runs
-    over log p to relative tolerance tol in p (about 8 solves in all).  The
+    One ``minimize_log`` search over p > 0 from the bracket [p_lo, p_hi]:
+    the bracket is validated (the map must be decreasing at p_lo and
+    increasing at p_hi) and expanded geometrically up to 8 times; Brent
+    minimization then starts from the bracket's eigen solves and runs over
+    log p to relative tolerance tol in p (about 8 solves in all).  The
     first eigen solve starts cold; later solves warm-start from each other,
     and the residual of each is kept for the error bar at the minimizer.
     The provenance counts the Perron sweeps of the whole search
     (``sweeps``, the sum of ``EigenResult.iters``).
     """
-    if not (0 < p_lo < p_hi):
-        raise ValueError("need 0 < p_lo < p_hi")
     if eig_tol is None:
         eig_tol = min(1e-8, tol * 1e-2)
 
@@ -368,19 +353,16 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
         sweeps += res.iters
         return res.lam / p
 
-    lo, hi, evals = bracket_min(g, p_lo, p_hi, max_expand=8, lo_floor=0.0)
-    p_star, w, evals = brent_min(g, lo, hi, evals, rel_tol=tol)
+    p_star, w, evals, spread = minimize_log(g, p_lo, p_hi, tol)
     resid = residuals[p_star]
-    ps = sorted(evals)
-    i = ps.index(p_star)
-    nbrs = [evals[q] for q in ps[max(0, i - 1):i + 2]]
-    err = max(max(nbrs) - w, 0.0) + resid / p_star
+    err = spread + resid / p_star
     return SpeedEstimate(
         value=w, method="eigen", optimizer=p_star, err=err,
         provenance={
             "realization_id": m.realization_id, "X": m.X, "h": m.h,
             "tol": tol, "eig_tol": eig_tol, "eig_residual": resid,
-            "kp_evals": {repr(q): evals[q] * q for q in ps}, "sweeps": sweeps,
+            "kp_evals": {repr(q): evals[q] * q for q in sorted(evals)},
+            "sweeps": sweeps,
         })
 
 

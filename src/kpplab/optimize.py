@@ -1,4 +1,4 @@
-"""One-dimensional bracketing and Brent minimization."""
+"""One-dimensional minimization of a function of a positive variable."""
 
 from __future__ import annotations
 
@@ -7,6 +7,9 @@ import math
 from .results import NumericalFailure
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+# the bracket's ends move by this factor, at most _MAX_EXPAND times in all
+_GROW = 2.0
+_MAX_EXPAND = 8
 
 
 class BracketFailure(NumericalFailure, RuntimeError):
@@ -22,66 +25,61 @@ class BracketFailure(NumericalFailure, RuntimeError):
         self.expansions = expansions
 
 
-def bracket_min(f, lo: float, hi: float, grow: float = 2.0, max_expand: int = 8,
-                lo_floor: float = 0.0):
-    """Expand [lo, hi] geometrically until the midpoint value undercuts both ends.
+def minimize_log(f, lo: float, hi: float, rel_tol: float, floor: float = 0.0):
+    """Minimum of a unimodal f over x > floor, bracketed and then Brent in log x.
 
-    The map must be decreasing at lo and increasing at hi for a valid bracket;
-    each side is expanded at most max_expand times, the left one never below
-    lo_floor.  Returns (lo, hi, evals) where evals is a dict of cached f values.
+    Bracket: starting from floor <= lo < hi (lo > 0), f at the geometric
+    midpoint sqrt(lo hi) must undercut f at both ends.  While it does not,
+    an end whose value is not above the midpoint's moves out: lo halves its
+    distance to floor and hi doubles.  Once lo sits on floor and f(lo) is
+    still not above the midpoint, the minimum lies in [floor, mid], so hi
+    contracts to mid instead.  After 8 such moves BracketFailure is raised.
+
+    Brent: parabolic interpolation through the three best points, with a
+    golden-section step whenever the parabola is not trusted, run over
+    t = log x on the bracket.  Both speed objectives are a cosh in the log of
+    their variable in a homogeneous medium (c/p + a p = 2 sqrt(ac)
+    cosh(log p - log p*)), which a parabola in t fits and one in x does not.
+    The search starts at the bracket's best interior point, with lo and hi
+    as the other two points, so the first step is the parabola through known
+    values.  It stops when the bracket around the best point is narrower
+    than rel_tol in t, a relative rel_tol in x.  No point is evaluated twice.
+
+    Returns (x_min, f_min, evals, spread): evals maps every evaluated point
+    to its value, and spread is the largest value at the evaluated
+    neighbours of x_min (x_min included) minus f_min.
     """
+    if not (0.0 <= floor <= lo < hi and lo > 0.0):
+        raise ValueError("minimize_log needs 0 <= floor <= lo < hi and lo > 0")
     evals: dict[float, float] = {}
 
-    def fv(x: float) -> float:
+    def cached(x: float) -> float:
         if x not in evals:
             evals[x] = f(x)
         return evals[x]
 
     expansions = 0
     while True:
-        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-        f_lo, f_mid, f_hi = fv(lo), fv(mid), fv(hi)
+        mid = math.sqrt(lo * hi)
+        f_lo, f_mid, f_hi = cached(lo), cached(mid), cached(hi)
         if f_mid < f_lo and f_mid < f_hi:
-            return lo, hi, evals
-        if expansions >= max_expand:
+            break
+        if expansions >= _MAX_EXPAND:
             raise BracketFailure(lo, hi, expansions)
-        if f_lo <= f_mid:
-            # still decreasing toward lo: push the left end down
-            lo = max(lo_floor + (lo - lo_floor) / grow, lo_floor)
-            if lo == lo_floor:
-                lo = lo_floor + (hi - lo_floor) * 1e-6
-        if f_hi <= f_mid:
-            hi = hi * grow if hi > 0 else hi + (hi - lo)
+        if lo == floor and f_lo <= f_mid:
+            hi = mid
+        else:
+            if f_lo <= f_mid:
+                lo = floor + (lo - floor) / _GROW
+            if f_hi <= f_mid:
+                hi *= _GROW
         expansions += 1
 
-
-def brent_min(f, lo: float, hi: float, evals: dict, rel_tol: float = 1e-4,
-              max_iters: int = 200):
-    """Brent minimization of a unimodal f of a positive variable, in its log.
-
-    Parabolic interpolation through the three best points, with a
-    golden-section step whenever the parabola is not trusted, run over
-    t = log x on the bracket 0 < lo < hi from bracket_min.  Both speed
-    objectives are a cosh in the log of their variable in a homogeneous
-    medium (c/p + a p = 2 sqrt(ac) cosh(log p - log p*)), which a parabola in
-    t fits and one in x does not.  The search starts at the best point of
-    ``evals`` inside (lo, hi), with lo and hi as the other two points, so the
-    first step is the parabola through known values; no point is evaluated
-    twice, and evals stays keyed by the points evaluated (the bracket's own
-    keys, not exp(log x)).  It stops when the bracket around the best point
-    is narrower than rel_tol in t, a relative rel_tol in x.  Returns
-    (x_min, f_min, evals) with evals the dict of all evaluated points.
-    """
-    if not 0.0 < lo < hi:
-        raise ValueError("brent_min needs a bracket 0 < lo < hi")
     # a, b, x, w, v and u below are logs; xs maps each log to its point
-    xs = {math.log(x): x for x in evals}
+    xs = {math.log(q): q for q in evals}
 
     def value(t: float) -> float:
-        x = xs.setdefault(t, math.exp(t))
-        if x not in evals:
-            evals[x] = f(x)
-        return evals[x]
+        return cached(xs.setdefault(t, math.exp(t)))
 
     a, b = math.log(lo), math.log(hi)
     x = min((q for q in xs if a < q < b), key=value)
@@ -89,7 +87,7 @@ def brent_min(f, lo: float, hi: float, evals: dict, rel_tol: float = 1e-4,
     fx, fw, fv = value(x), value(w), value(v)
     d = e = b - a
     tol1 = 0.25 * rel_tol
-    for _ in range(max_iters):
+    while True:
         xm = 0.5 * (a + b)
         if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
             break
@@ -120,4 +118,9 @@ def brent_min(f, lo: float, hi: float, evals: dict, rel_tol: float = 1e-4,
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return xs[x], fx, evals
+
+    x_min = xs[x]
+    pts = sorted(evals)
+    i = pts.index(x_min)
+    spread = max(evals[q] for q in pts[max(0, i - 1):i + 2]) - fx
+    return x_min, fx, evals, spread

@@ -395,6 +395,11 @@ def suite_eigen_properties(config: dict, threads: int = 1,
     lower bounds k_0 >= mean_c and k_p >= mean_c + p^2/mean_inv_a (with
     statistical slack); Lyapunov duality mu(k_p) = p where gamma = k_p is
     admissible; attainment of the variational formula at p = 1.5 p*.
+
+    The lower attainment gate (min_theta k_0 - k_p)/k_p >= -1e-6 assumes
+    h <= 0.01: the discrete variational value sits an O(h^2) offset below
+    the discrete k_p, and a converged descent on the default dimer reads
+    about -1.56e-6 at h = 0.02.
     """
     p_grid = [float(p) for p in config["p_grid"]]
     tol = config["tol"]

@@ -45,6 +45,7 @@ def test_eigen_kp_and_speed(tmp_path, capsys):
     assert "k_p(p=1)" in out
     kp = json.loads((tmp_path / "out" / "kp.json").read_text())
     assert abs(kp["lambda"] - 2.0) < 1e-9
+    assert (kp["p"], kp["N"], kp["h"], kp["X"]) == (1.0, 5000, 0.02, 100.0)
     curve = (tmp_path / "out" / "kp_curve.dat").read_text().splitlines()
     assert curve[0].startswith("#")
     assert len(curve) > 5
@@ -52,6 +53,7 @@ def test_eigen_kp_and_speed(tmp_path, capsys):
     assert run(tmp_path, "eigen", "speed", cfg=cfg) == 0
     data = json.loads((tmp_path / "out" / "speed_eigen.json").read_text())
     assert abs(data["value"] - 2.0) < 1e-3
+    assert kp["realization_id"] == data["provenance"]["realization_id"]
 
 
 def test_freidlin_commands(tmp_path):

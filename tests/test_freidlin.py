@@ -111,8 +111,12 @@ def test_speed_constants(a0, w, gstar):
     assert not est.provenance["bracket_at_exclusion_boundary"]
 
 
-def test_speed_agrees_with_eigen_route():
-    m = dimer_medium(X=200.0, h=0.01, eps=0.2, jitter=0.3)
+@pytest.mark.parametrize("contrast", [{}, {"c_plus": 3.0, "c_minus": 0.1}],
+                         ids=["default", "high_contrast"])
+def test_speed_agrees_with_eigen_route(contrast):
+    # at high contrast the Lyapunov bracket starts on its exclusion floor with
+    # the minimum just above it, so it must contract toward the floor
+    m = dimer_medium(X=200.0, h=0.01, eps=0.2, jitter=0.3, **contrast)
     w_fr = fr.speed_freidlin(m, tol=1e-4).value
     w_kp = ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4).value
     assert abs(w_fr - w_kp) / w_kp <= 1e-2

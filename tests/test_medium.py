@@ -32,9 +32,15 @@ def test_sampling_is_deterministic():
     assert not np.array_equal(m1.c, m3.c)
 
 
-def test_fixed_dimer_is_two_periodic():
-    m = dimer_medium(X=100.0, h=0.01, eps=0.1)
-    period = int(round(2.0 / m.h))
+@pytest.mark.parametrize("length,X,h,eps", [
+    (1.0, 100.0, 0.01, 0.1),
+    # the block lengths sum to a rounding error short of X
+    (0.1, 1.0, 0.01, 0.04),
+    (0.3, 6.0, 0.01, 0.1),
+], ids=["len1", "len0.1", "len0.3"])
+def test_fixed_dimer_is_two_periodic(length, X, h, eps):
+    m = dimer_medium(X=X, h=h, eps=eps, len1=length, len2=length)
+    period = int(round(2.0 * length / m.h))
     assert np.allclose(m.c, np.roll(m.c, period), atol=1e-13)
     assert np.allclose(m.a, np.roll(m.a, period), atol=1e-13)
 
@@ -261,7 +267,7 @@ def test_load_rejects_bad_grids(tmp_path):
             med.load_realization(path)
 
 
-def test_replace_and_scale_helpers():
+def test_replace_and_scale_helpers(tmp_path):
     m = dimer_medium(X=50.0, h=0.02)
     shifted = med.replace_c(m, m.c + 0.5, "shift")
     assert np.allclose(shifted.c, m.c + 0.5)
@@ -269,6 +275,12 @@ def test_replace_and_scale_helpers():
     doubled = med.scale_a(m, 2.0)
     assert np.allclose(doubled.a, 2.0 * m.a)
     assert np.allclose(doubled.a_half, 2.0 * m.a_half)
+    # a_half is always the mean of neighbouring a, so a save/load round trip
+    # reproduces it, also for a kappa whose product rounds
+    tripled = med.scale_a(med.sample_realization(trig_spec(), MASTER, 0, 40.0,
+                                                 0.02), 3.0)
+    path = med.save_realization(tripled, tmp_path / "tripled.kppm")
+    assert np.array_equal(med.load_realization(path).a_half, tripled.a_half)
     with pytest.raises(ValueError):
         med.scale_a(m, -1.0)
 

@@ -6,7 +6,7 @@ import pytest
 from kpplab import medium as med
 from kpplab import operators as ops
 from kpplab import variational as var
-from kpplab.optimize import BracketFailure, bracket_min, brent_min
+from kpplab.optimize import BracketFailure, minimize_log
 from kpplab.tridiag import CyclicTridiagonalSolver, ShiftedCyclicSolver
 
 from conftest import MASTER, constant_medium, dimer_medium, dimer_spec, trig_spec
@@ -96,7 +96,7 @@ def test_small_window_matches_dense_eigvals(N, p):
     dense[idx, (idx - 1) % N] += op.sub
     dense[idx, (idx + 1) % N] += op.sup
     ref = float(np.max(np.linalg.eigvals(dense).real))
-    assert res.N == N
+    assert res.phi.shape == (N,)
     assert abs(res.lam - ref) <= 1e-9
     assert np.min(res.phi) > 0
 
@@ -263,22 +263,46 @@ def test_speed_bracket_expands():
 
 
 def test_bracket_failure():
-    with pytest.raises(BracketFailure):
-        bracket_min(lambda x: x, 1.0, 2.0, max_expand=2)
+    # no interior minimum: increasing, decreasing, or increasing from the floor
+    for f, floor in ((lambda x: x, 0.0), (lambda x: -x, 0.0),
+                     (lambda x: x, 1.0)):
+        with pytest.raises(BracketFailure):
+            minimize_log(f, 1.0, 2.0, 1e-4, floor=floor)
+    with pytest.raises(ValueError):
+        minimize_log(lambda x: x, 1.0, 2.0, 1e-4, floor=1.5)
 
 
-def test_brent_min_from_bracket():
+def test_minimize_log_from_bracket():
     calls = []
 
     def f(x):
         calls.append(x)
         return x + 1.0 / x
 
-    lo, hi, evals = bracket_min(f, 0.3, 3.0)
-    x, fx, evals = brent_min(f, lo, hi, evals, rel_tol=1e-4)
+    x, fx, evals, spread = minimize_log(f, 0.3, 3.0, 1e-4)
     assert abs(x - 1.0) <= 1e-4
     assert fx == evals[x] == min(evals.values())
     assert len(evals) <= 9
+    assert len(calls) == len(set(calls)) == len(evals)
+    pts = sorted(evals)
+    i = pts.index(x)
+    assert spread == max(evals[pts[i - 1]], evals[pts[i + 1]]) - fx > 0
+
+
+def test_minimize_log_contracts_at_floor():
+    # the minimum sits 1% above the floor and the bracket starts on it: f at
+    # the floor undercuts the first midpoint, so hi must come down
+    floor, x_star = 0.5, 0.505
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x / x_star + x_star / x
+
+    x, fx, evals, _ = minimize_log(f, floor, 4.0, 1e-4, floor=floor)
+    assert abs(x - x_star) <= 1e-4 * x_star
+    assert fx == min(evals.values())
+    assert min(evals) == floor
     assert len(calls) == len(set(calls)) == len(evals)
 
 
@@ -318,7 +342,6 @@ def test_eigenresult_serializes():
     res = ops.k_p(m, 1.0, tol=1e-8)
     d = res.to_dict()
     assert d["lambda"] == res.lam
-    assert d["realization_id"] == m.realization_id
     assert (d["iters"], d["refactorizations"], d["jumps"], d["cw_width"]) == (
         res.iters, res.refactorizations, res.jumps, res.cw_width)
     assert "phi" not in d
