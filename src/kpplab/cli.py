@@ -226,6 +226,8 @@ def cmd_report(args) -> int:
     print(f"  started  {manifest['started_at']}")
     print(f"  finished {manifest['finished_at']}")
     print(f"  master_seed {manifest['master_seed']}")
+    for key, value in manifest.get("environment", {}).items():
+        print(f"  {key} {value}")
     for rec in manifest["outputs"]:
         print(f"  output {rec['path']}  sha {rec['sha']}")
     for path in sorted(run_dir.glob("*_report.json")):
@@ -237,6 +239,13 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kpplab",
@@ -244,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config file (merged over defaults)")
     ap.add_argument("--seed", type=int, help="master seed override")
     ap.add_argument("--out", default="runs/latest", help="output directory")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=_worker_count, default=1,
+                    help="worker threads of a suite (at least 1)")
     ap.add_argument("--tol", type=float, help="eigen tolerance override")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,7 @@ from . import freidlin as fr
 from . import medium as med
 from . import operators as ops
 from . import variational as var
-from .manifest import RunManifest
+from .manifest import RunManifest, environment
 from .results import SpeedEstimate
 
 DEFAULT_CONFIG: dict = {
@@ -89,7 +89,11 @@ def _per_seed(config: dict, one, threads: int,
 
     ``probe``, when given, is stream 0's realization, already sampled by the
     suite, and is used as it is.  Results come back in stream order whatever
-    the thread count, each dict tagged with its "stream".
+    the thread count, each dict tagged with its "stream".  With threads > 1
+    the seeds run on a thread pool: the Perron sweeps, Arnoldi jumps and
+    Hessian solves release the GIL in LAPACK (see ``tridiag``) and numpy's
+    loops release it too, so the workers compute at the same time.  Each
+    seed builds its own solvers, so no workspace is shared between threads.
     """
     def task(stream):
         m = (probe if stream == 0 and probe is not None
@@ -496,7 +500,8 @@ def run_suite(name: str, config: dict, out_dir: str | Path | None = None,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     manifest = RunManifest(config={"suite": name, **config},
-                           master_seed=config["master_seed"]).start()
+                           master_seed=config["master_seed"],
+                           environment=environment(threads)).start()
     report = SUITES[name](config, threads=threads)
     report.manifest_hash = manifest.content_key()
     if out_dir is not None:

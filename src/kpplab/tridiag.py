@@ -1,34 +1,115 @@
 """Tridiagonal linear solvers: LU (LAPACK gttrf/gttrs), cyclic (factored
 once, or one gtsv per shifted solve), and LDL^T for symmetric positive
-definite matrices (pttrf/pttrs)."""
+definite matrices (pttrf/pttrs).
+
+gtsv, gttrf and gttrs are called through ctypes on the addresses that
+scipy.linalg.cython_lapack exports.  A ctypes foreign call releases the GIL
+for as long as LAPACK runs, where the f2py wrappers of gtsv and gttrf hold
+it, so the suites' worker threads can solve at the same time.  Each solver
+owns its LAPACK buffers and builds its argument list once, so a solve
+takes at most one new address and shares no scratch with another solver.
+"""
 
 from __future__ import annotations
 
+import ctypes
+import re
+
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
+
+_capsule_name = ctypes.pythonapi.PyCapsule_GetName
+_capsule_name.argtypes = [ctypes.py_object]
+_capsule_name.restype = ctypes.c_char_p
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+_capsule_pointer.restype = ctypes.c_void_p
+
+
+def _bind(name: str, signature: str):
+    """ctypes function for the cython_lapack routine name, GIL released.
+
+    signature is the routine's C prototype with "double" for Cython's
+    mangled double type; a capsule whose prototype differs (an ILP64 build
+    passes 64-bit ints) raises ImportError instead of corrupting memory.
+    Every argument is a pointer, passed as an integer address.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    found = _capsule_name(capsule)
+    if re.sub(r"__pyx_t_\w+_d \*", "double *", found.decode()) != signature:
+        raise ImportError(f"cython_lapack.{name} has prototype {found!r}, "
+                          f"expected {signature!r}")
+    address = _capsule_pointer(capsule, found)
+    nargs = signature.count("*")
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+_dgtsv = _bind("dgtsv", "void (int *, int *, double *, double *, double *, "
+                        "double *, int *, int *)")
+_dgttrf = _bind("dgttrf", "void (int *, double *, double *, double *, "
+                          "double *, int *, int *)")
+_dgttrs = _bind("dgttrs", "void (char *, int *, int *, double *, double *, "
+                          "double *, double *, int *, double *, int *, int *)")
+
+
+def _address(a: np.ndarray) -> int:
+    """Address of an array's data, for a LAPACK argument.
+
+    Raises TypeError unless the array is C-contiguous and writable, which
+    LAPACK assumes.  About 0.5 us, where ``a.ctypes.data`` costs 2.5 us.
+    """
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def _check_diagonals(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                     n_min: int) -> int:
+    """n, after checking that the three diagonals are vectors of one length
+    n >= n_min: LAPACK reads n entries behind every pointer it is given."""
+    n = diag.shape[0]
+    if not np.shape(sub) == np.shape(sup) == diag.shape == (n,):
+        raise ValueError("sub, diag and sup must be vectors of one length")
+    if n < n_min:
+        raise ValueError(f"tridiagonal system needs n >= {n_min}")
+    return n
 
 
 class TridiagonalSolver:
     """LU factorization of a plain tridiagonal matrix, reusable across solves.
 
     Row i reads sub[i]*x[i-1] + diag[i]*x[i] + sup[i]*x[i+1]; sub[0] and
-    sup[-1] are ignored.
+    sup[-1] are ignored.  gttrf factors copies of the diagonals here, once,
+    and the gttrs argument list is built around them; a solve adds only the
+    address of its copy of b.  Both calls release the GIL.  A solver serves
+    one thread at a time.
     """
 
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
-        n = diag.shape[0]
-        if n < 2:
-            raise ValueError("tridiagonal system needs n >= 2")
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(sub[1:], diag, sup[:-1])
-        if info != 0:
-            raise np.linalg.LinAlgError(f"gttrf failed (info={info})")
-        self._fac = (dl, d, du, du2, ipiv)
+        n = _check_diagonals(sub, diag, sup, 2)
+        fac = (np.array(sub[1:], dtype=np.float64),
+               np.array(diag, dtype=np.float64),
+               np.array(sup[:-1], dtype=np.float64),
+               np.empty(max(n - 2, 1)),          # du2
+               np.empty(n, dtype=np.intc))       # ipiv
+        self._fac = fac  # keeps the buffers behind the addresses alive
+        self._trans = ctypes.c_char(b"N")
+        self._n, self._nrhs, self._info = (ctypes.c_int(n), ctypes.c_int(1),
+                                           ctypes.c_int(0))
+        addr = ctypes.addressof
+        fac_ptrs = [_address(a) for a in fac]
+        _dgttrf(addr(self._n), *fac_ptrs, addr(self._info))
+        if self._info.value != 0:
+            raise np.linalg.LinAlgError(f"gttrf failed (info={self._info.value})")
+        self._head = (addr(self._trans), addr(self._n), addr(self._nrhs),
+                      *fac_ptrs)
+        self._tail = (addr(self._n), addr(self._info))  # ldb = n, info
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        dl, d, du, du2, ipiv = self._fac
-        x, info = lapack.dgttrs(dl, d, du, du2, ipiv, b)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"gttrs failed (info={info})")
+        x = np.array(b, dtype=np.float64)
+        if x.shape != (self._n.value,):
+            raise ValueError("b must be a vector of the matrix's size")
+        _dgttrs(*self._head, _address(x), *self._tail)
+        if self._info.value != 0:
+            raise np.linalg.LinAlgError(f"gttrs failed (info={self._info.value})")
         return x
 
 
@@ -40,6 +121,8 @@ class SPDTridiagonalSolver:
     full factor, so solve(b) with len(b) = J <= n solves the leading J x J
     block exactly, reading only the first J factor entries.  The solve is
     in place, so a caller stepping in time allocates nothing per step.
+    pttrf and pttrs stay on scipy's f2py wrappers: the direct route runs on
+    one thread, so releasing the GIL there would gain nothing.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
@@ -133,19 +216,26 @@ class ShiftedCyclicSolver:
     sides [b, w] of the corner split, where a CyclicTridiagonalSolver built
     for the same shift would spend a gttrf and two gttrs.  dgtsv runs
     gttrf's elimination and gttrs's substitution, so the result is the same
-    to the last bit.  The LAPACK buffers are allocated here, once, and
-    overwritten in place by every solve.
+    to the last bit.  The LAPACK buffers and the dgtsv argument list are
+    built here, once; every solve overwrites the buffers in place and calls
+    dgtsv with the GIL released.  A solver serves one thread at a time.
     """
 
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
-        n = diag.shape[0]
-        if n < 3:
-            raise ValueError("cyclic tridiagonal system needs n >= 3")
+        n = _check_diagonals(sub, diag, sup, 3)
         self._sub, self._diag, self._sup = sub, diag, sup
         self._dl = np.empty(n - 1)
         self._d = np.empty(n)
         self._du = np.empty(n - 1)
-        self._rhs = np.empty((n, 2), order="F")
+        # the right-hand sides [b, w] as rows: LAPACK's n x 2 column-major b
+        self._rhs = np.empty((2, n))
+        self._n, self._nrhs, self._info = (ctypes.c_int(n), ctypes.c_int(2),
+                                           ctypes.c_int(0))
+        addr = ctypes.addressof
+        # ldb = n
+        self._args = (addr(self._n), addr(self._nrhs), _address(self._dl),
+                      _address(self._d), _address(self._du),
+                      _address(self._rhs), addr(self._n), addr(self._info))
 
     def solve(self, sigma: float, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the solution into out (which may be b) and return it."""
@@ -153,12 +243,10 @@ class ShiftedCyclicSolver:
         np.negative(self._sub[1:], out=self._dl)
         np.subtract(sigma, self._diag, out=d)
         np.negative(self._sup[:-1], out=self._du)
-        zn = _split_corners(-self._sub[0], -self._sup[-1], d, rhs[:, 1])
-        rhs[:, 0] = b
-        _, _, _, x, info = lapack.dgtsv(self._dl, d, self._du, rhs,
-                                        overwrite_dl=1, overwrite_d=1,
-                                        overwrite_du=1, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"gtsv failed (info={info})")
-        q = x[:, 1]
-        return _corrected(x[:, 0], q, zn, _denominator(q, zn), out)
+        zn = _split_corners(-self._sub[0], -self._sup[-1], d, rhs[1])
+        rhs[0] = b
+        _dgtsv(*self._args)
+        if self._info.value != 0:
+            raise np.linalg.LinAlgError(f"gtsv failed (info={self._info.value})")
+        q = rhs[1]
+        return _corrected(rhs[0], q, zn, _denominator(q, zn), out)

@@ -107,6 +107,18 @@ def test_suite_and_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "homogenized_bound" in out
     assert "sha" in out
+    assert "  workers 1\n" in out
+    assert f"  numpy {np.__version__}\n" in out
+    assert "OPENBLAS_NUM_THREADS" in out
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "--threads", threads, "suite", "homogenized_bound")
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -126,13 +126,13 @@ def test_shifted_solve_matches_factored_solver_bitwise(sub, diag, sup, sigma):
 
 
 def test_sweep_makes_one_gtsv_call_and_no_gttrf(monkeypatch):
-    from scipy.linalg import lapack
+    from kpplab import tridiag
     calls = {"dgtsv": 0, "dgttrf": 0}
     for name in calls:
-        def counted(*args, _name=name, _f=getattr(lapack, name), **kwargs):
+        def counted(*args, _name=name, _f=getattr(tridiag, "_" + name)):
             calls[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(lapack, name, counted)
+            return _f(*args)
+        monkeypatch.setattr(tridiag, "_" + name, counted)
     m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
     res = ops.principal_eigen(ops.assemble_tilted(m, 1.0), tol=1e-10)
     assert res.jumps == 0

@@ -143,6 +143,12 @@ def test_run_suite_writes_reproducible_payloads(tmp_path):
         b2 = (tmp_path / "run2" / name).read_bytes()
         assert b1 == b2
     manifest = RunManifest.read(tmp_path / "run1" / "manifest.json")
+    # the environment is recorded, and kept out of the run key
+    assert manifest["environment"]["workers"] == 1
+    assert RunManifest.read(
+        tmp_path / "run2" / "manifest.json")["environment"]["workers"] == 2
+    assert {"numpy", "scipy", "blas", "scipy_lapack", "OPENBLAS_NUM_THREADS",
+            "OMP_NUM_THREADS", "cpu_count"} <= set(manifest["environment"])
     assert {o["path"] for o in manifest["outputs"]} == {
         "eigen_properties_report.json", "eigen_properties_verdicts.csv"}
     # recorded hashes match the bytes on disk

@@ -1,0 +1,130 @@
+"""The LAPACK kernels behind the tridiagonal solvers, called through ctypes."""
+
+import ctypes
+import threading
+import time
+
+import numpy as np
+import pytest
+from scipy.linalg import lapack
+
+from kpplab import tridiag
+from kpplab.tridiag import (CyclicTridiagonalSolver, ShiftedCyclicSolver,
+                            TridiagonalSolver)
+
+
+def _system(n, seed):
+    """Random diagonally dominant tridiagonal diagonals (dl, d, du)."""
+    rng = np.random.default_rng(seed)
+    dl = rng.random(n - 1) - 0.5
+    du = rng.random(n - 1) - 0.5
+    d = 2.0 + rng.random(n)
+    return dl, d, du
+
+
+def _call(fn, *args):
+    """Call a bound routine on arrays and C ints, passing their addresses."""
+    fn(*[a.ctypes.data if isinstance(a, np.ndarray) else ctypes.addressof(a)
+         for a in args])
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000])
+def test_bound_routines_match_scipy_wrappers_bitwise(n):
+    dl, d, du = _system(n, n)
+    b = np.asfortranarray(np.random.default_rng(n + 1).random((n, 2)))
+    n_c, nrhs, info = ctypes.c_int(n), ctypes.c_int(2), ctypes.c_int(0)
+
+    # gtsv: factor and solve in one call, everything in place
+    got = [a.copy() for a in (dl, d, du)] + [b.copy(order="F")]
+    _call(tridiag._dgtsv, n_c, nrhs, *got, n_c, info)
+    ref = lapack.dgtsv(dl, d, du, b)
+    assert info.value == ref[-1] == 0
+    for g, r in zip(got, ref[:-1]):
+        assert np.array_equal(g, r)
+
+    # gttrf, then gttrs on both right-hand sides
+    fac = [a.copy() for a in (dl, d, du)] + [np.empty(max(n - 2, 1)),
+                                            np.empty(n, dtype=np.intc)]
+    _call(tridiag._dgttrf, n_c, *fac, info)
+    ref_fac = lapack.dgttrf(dl, d, du)
+    assert info.value == ref_fac[-1] == 0
+    for g, r in zip(fac[:3] + [fac[3][:n - 2]], ref_fac[:4]):
+        assert np.array_equal(g, r)
+    assert np.array_equal(fac[4], ref_fac[4])
+    x = b.copy(order="F")
+    _call(tridiag._dgttrs, ctypes.c_char(b"N"), n_c, nrhs, *fac, x, n_c, info)
+    x_ref, info_ref = lapack.dgttrs(*ref_fac[:5], b)
+    assert info.value == info_ref == 0
+    assert np.array_equal(x, x_ref)
+
+    # and through the solver, for one right-hand side
+    solver = TridiagonalSolver(np.r_[0.0, dl], d, np.r_[du, 0.0])
+    assert np.array_equal(solver.solve(b[:, 0]), x_ref[:, 0])
+
+
+def test_zero_pivot_raises_linalg_error():
+    with pytest.raises(np.linalg.LinAlgError, match="gttrf"):
+        TridiagonalSolver(np.zeros(3), np.zeros(3), np.zeros(3))
+    # corner-free A with sigma - A = diag(1, 0, 1): T = diag(2, 0, 1) after
+    # the corner split, so gtsv meets a zero pivot in row 2
+    solver = ShiftedCyclicSolver(np.zeros(3), np.array([0.0, 1.0, 0.0]),
+                                 np.zeros(3))
+    with pytest.raises(np.linalg.LinAlgError, match="gtsv"):
+        solver.solve(1.0, np.ones(3), np.empty(3))
+
+
+@pytest.mark.parametrize("cls", [TridiagonalSolver, ShiftedCyclicSolver])
+def test_diagonals_of_unequal_length_are_rejected(cls):
+    # LAPACK would read past the end of the shorter one
+    with pytest.raises(ValueError, match="one length"):
+        cls(np.ones(4), np.ones(5), np.ones(5))
+
+
+def test_right_hand_side_of_wrong_size_is_rejected():
+    solver = TridiagonalSolver(np.ones(5), 4.0 * np.ones(5), np.ones(5))
+    with pytest.raises(ValueError, match="size"):
+        solver.solve(np.ones(4))
+
+
+def _stall_ratio(fn, attempts=3):
+    """Longest gap between the main thread's clock reads while fn runs in a
+    worker thread, over fn's own time alone; the best of a few attempts."""
+    fn()  # fault the buffers in
+    ratios = []
+    for _ in range(attempts):
+        t0 = time.perf_counter()
+        fn()
+        alone = time.perf_counter() - t0
+        worker = threading.Thread(target=fn)
+        stall = 0.0
+        worker.start()
+        last = time.perf_counter()
+        while worker.is_alive():
+            now = time.perf_counter()
+            stall = max(stall, now - last)
+            last = now
+        worker.join(timeout=60.0)
+        assert not worker.is_alive()
+        ratios.append(stall / alone)
+    return min(ratios)
+
+
+def _big_cyclic(n=2 ** 20):
+    rng = np.random.default_rng(7)
+    sub = 1.0 + rng.random(n)
+    sup = 1.0 + rng.random(n)
+    diag = -(sub + sup) + rng.random(n)
+    return sub, diag, sup, float(np.max(sub + diag + sup)) + 0.5
+
+
+def test_shifted_solve_releases_the_gil():
+    sub, diag, sup, sigma = _big_cyclic()
+    solver = ShiftedCyclicSolver(sub, diag, sup)
+    b, out = np.ones(diag.shape[0]), np.empty(diag.shape[0])
+    assert _stall_ratio(lambda: solver.solve(sigma, b, out)) < 0.15
+
+
+def test_cyclic_factorization_releases_the_gil():
+    sub, diag, sup, sigma = _big_cyclic()
+    assert _stall_ratio(
+        lambda: CyclicTridiagonalSolver(-sub, sigma - diag, -sup)) < 0.15
