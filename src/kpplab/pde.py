@@ -8,17 +8,22 @@ clipping.  I - dt D is strictly diagonally dominant, hence positive definite:
 it is factored once as LDL^T (LAPACK pttrf) and each step is one pttrs solve.
 
 Each step solves only the leading block [0, J) of the window, with u = 0
-beyond it; J runs TAIL_PAD nodes past the last node where u >= TAIL_FLOOR
-and grows as the tail spreads.  The LDL^T factor of a leading block is the
-leading part of the full factor, so the block solve is the exact solve of the
-window with u held at 0 from node J on.  One implicit step can carry the
-tail far past the pad (thousands of nodes when dt/h^2 is large), so a step
-whose solution is still >= TAIL_FLOOR at the block's last node is redone on
-a block twice as long: the zero held at J then never reaches the front,
-whatever h and dt.  What the block drops is the tail far below TAIL_FLOOR,
-which the full solve would carry down through the subnormal range, where
-each floating-point operation stalls.  On criterion 3's media the front
-speeds differ from the full solve's by at most 1e-14 relative.
+beyond it; J runs TAIL_PAD nodes past the last node where u is at or above
+the step's floor and grows as the tail spreads.  The floor at step k of
+nsteps is max(TAIL_FLOOR, TAIL_EPS (1 + dt max c)^-(nsteps - k)): a value
+dropped at step k grows by at most 1 + dt max c per explicit reaction step,
+and the implicit diffusion step does not raise the sup norm, so by the end
+of the run it would stay below TAIL_EPS.  The LDL^T factor of a leading
+block is the leading part of the full factor, so the block solve is the
+exact solve of the window with u held at 0 from node J on.  One implicit
+step can carry the tail far past the pad (thousands of nodes when dt/h^2 is
+large), so a step whose solution is still at or above the floor at the
+block's last node is redone on a block twice as long: the zero held at J
+then never reaches the front, whatever h and dt.  What the block drops is
+the tail below the floor, which the full solve would carry down through the
+subnormal range, where each floating-point operation stalls.  On criterion
+3's media the front speeds differ from the full solve's by at most 1e-14
+relative.
 
 The window is [0, X] with no-flux (reflecting) walls; the initial datum is a
 smoothed indicator of [0, 5] and the front is the rightmost 0.5-level
@@ -41,7 +46,8 @@ from .results import NumericalFailure, SpeedEstimate
 from .tridiag import SPDTridiagonalSolver
 
 TAIL_FLOOR = 1e-280  # u below this past the front's tail is dropped
-TAIL_PAD = 32  # nodes kept past the last node with u >= TAIL_FLOOR
+TAIL_EPS = 1e-20  # bound at time T on what the dropped tail could grow to
+TAIL_PAD = 32  # nodes kept past the last node at or above the floor
 
 
 class CFLViolation(NumericalFailure, ValueError):
@@ -141,9 +147,9 @@ def _diffusion_solver(m: med.MediumRealization, dt: float) -> SPDTridiagonalSolv
     return SPDTridiagonalSolver(1.0 + fac * (a_l + a_r), -fac * a_r[:-1])
 
 
-def _last_above_floor(u: np.ndarray, start: int) -> int:
-    """Last index i >= start with u[i] >= TAIL_FLOOR (start if none)."""
-    above = np.flatnonzero(u[start:] >= TAIL_FLOOR)
+def _last_above_floor(u: np.ndarray, start: int, floor: float) -> int:
+    """Last index i >= start with u[i] >= floor (start if none)."""
+    above = np.flatnonzero(u[start:] >= floor)
     return start + int(above[-1]) if above.size else start
 
 
@@ -171,14 +177,20 @@ def simulate(m: med.MediumRealization, f: ReactionSpec, T: float,
     rhs = np.zeros(n)  # u and rhs swap each step; both stay 0 from J on
     growth = np.empty(n)
     dt_rate = dt * rate
-    last = _last_above_floor(u, 0)
-    j = min(n, last + 1 + TAIL_PAD)
-    guard = 0.9 * m.X
     every = max(1, int(round(snapshot_every / dt)))
     nsteps = int(round(T / dt))
+    gain = 1.0 + dt * rate_max  # bound on a perturbation's growth per step
+
+    def tail_floor(k: int) -> float:
+        return max(TAIL_FLOOR, TAIL_EPS * gain ** -(nsteps - k))
+
+    last = _last_above_floor(u, 0, tail_floor(0))
+    j = min(n, last + 1 + TAIL_PAD)
+    guard = 0.9 * m.X
 
     times, positions, masses = [0.0], [front_position(u, m.h)], [1.0]
     for k in range(1, nsteps + 1):
+        floor = tail_floor(k)
         while True:
             # rhs = u + dt c u (1 - u) on the block, then one in-place solve
             uj, bj, gj = u[:j], rhs[:j], growth[:j]
@@ -187,13 +199,13 @@ def simulate(m: med.MediumRealization, f: ReactionSpec, T: float,
             gj *= bj
             np.add(uj, gj, out=bj)
             solver.solve(bj)
-            if j == n or bj[-1] < TAIL_FLOOR:
+            if j == n or bj[-1] < floor:
                 break
             # the step carried the tail to the block's edge, where the zero
             # held at J would cut it: redo it on a block twice as long
             j = min(n, 2 * j)
         u, rhs = rhs, u
-        last = _last_above_floor(u[:j], last)
+        last = _last_above_floor(u[:j], last, floor)
         j = max(j, min(n, last + 1 + TAIL_PAD))
         if k % every == 0 or k == nsteps:
             t = k * dt

@@ -437,7 +437,7 @@ def suite_eigen_properties(config: dict, threads: int = 1,
                                      max_iters=config["attainment_max_iters"])
             rec["attainment"] = {"p": p_att,
                                  "rel_gap": res.gap_vs_direct / res.kp_direct,
-                                 "iters": res.iters}
+                                 "iters": res.iters, "stop": res.stop}
         return rec
 
     points = _per_seed(config, one, threads)

@@ -1,11 +1,12 @@
 """Tridiagonal linear solvers: LU (LAPACK gttrf/gttrs), cyclic (factored
 once, or one gtsv per shifted solve), and LDL^T for symmetric positive
-definite matrices (pttrf/pttrs).
+definite matrices, plain or cyclic (pttrf/pttrs).
 
-gtsv, gttrf and gttrs are called through ctypes on the addresses that
-scipy.linalg.cython_lapack exports.  A ctypes foreign call releases the GIL
-for as long as LAPACK runs, where the f2py wrappers of gtsv and gttrf hold
-it, so the suites' worker threads can solve at the same time.  Each solver
+gtsv, gttrf, gttrs, pttrf and pttrs are called through ctypes on the
+addresses that scipy.linalg.cython_lapack exports.  A ctypes foreign call
+releases the GIL for as long as LAPACK runs, where the f2py wrappers of
+gtsv, gttrf, pttrf and pttrs hold it, so the suites' worker threads can
+solve at the same time.  Each solver
 owns its LAPACK buffers and builds its argument list once, so a solve
 takes at most one new address and shares no scratch with another solver.
 """
@@ -16,7 +17,7 @@ import ctypes
 import re
 
 import numpy as np
-from scipy.linalg import cython_lapack, lapack
+from scipy.linalg import cython_lapack
 
 _capsule_name = ctypes.pythonapi.PyCapsule_GetName
 _capsule_name.argtypes = [ctypes.py_object]
@@ -50,6 +51,13 @@ _dgttrf = _bind("dgttrf", "void (int *, double *, double *, double *, "
                           "double *, int *, int *)")
 _dgttrs = _bind("dgttrs", "void (char *, int *, int *, double *, double *, "
                           "double *, double *, int *, double *, int *, int *)")
+_dpttrf = _bind("dpttrf", "void (int *, double *, double *, int *)")
+_dpttrs = _bind("dpttrs", "void (int *, int *, double *, double *, double *, "
+                          "int *, int *)")
+
+
+class NotPositiveDefinite(np.linalg.LinAlgError):
+    """The matrix handed to an LDL^T solver is not positive definite."""
 
 
 def _address(a: np.ndarray) -> int:
@@ -121,31 +129,50 @@ class SPDTridiagonalSolver:
     full factor, so solve(b) with len(b) = J <= n solves the leading J x J
     block exactly, reading only the first J factor entries.  The solve is
     in place, so a caller stepping in time allocates nothing per step.
-    pttrf and pttrs stay on scipy's f2py wrappers: the direct route runs on
-    one thread, so releasing the GIL there would gain nothing.
+    pttrf factors copies of the diagonals here, once; a matrix that is not
+    positive definite raises NotPositiveDefinite.  Both calls release the
+    GIL.  A solver serves one thread at a time.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
-        if diag.shape[0] < 2:
+        n = diag.shape[0]
+        if n < 2:
             raise ValueError("tridiagonal system needs n >= 2")
-        d, e, info = lapack.dpttrf(diag, off)
-        if info != 0:
-            raise np.linalg.LinAlgError(
+        if diag.shape != (n,) or np.shape(off) != (n - 1,):
+            raise ValueError("diag must be a vector and off one entry shorter")
+        self._fac = (np.array(diag, dtype=np.float64),
+                     np.array(off, dtype=np.float64))
+        self._size = n
+        # n (the block's size on a solve, and ldb), nrhs, info
+        self._n, self._nrhs, self._info = (ctypes.c_int(n), ctypes.c_int(1),
+                                           ctypes.c_int(0))
+        addr = ctypes.addressof
+        d_ptr, e_ptr = (_address(a) for a in self._fac)
+        _dpttrf(addr(self._n), d_ptr, e_ptr, addr(self._info))
+        info = self._info.value
+        if info > 0:
+            raise NotPositiveDefinite(
                 f"pttrf failed (info={info}): matrix not positive definite")
-        self._d, self._e = d, e
+        if info != 0:
+            raise np.linalg.LinAlgError(f"pttrf failed (info={info})")
+        self._head = (addr(self._n), addr(self._nrhs), d_ptr, e_ptr)
+        self._tail = (addr(self._n), addr(self._info))
 
     def solve(self, b: np.ndarray) -> None:
         """Overwrite b with the solution of the leading len(b) block.
 
         b must be a contiguous float64 vector: pttrs solves in its storage.
         """
-        if b.dtype != np.float64 or not b.flags.c_contiguous:
+        if (b.dtype != np.float64 or b.ndim != 1
+                or not b.flags.c_contiguous):
             raise ValueError("b must be a contiguous float64 vector")
         j = b.shape[0]
-        _, info = lapack.dpttrs(self._d[:j], self._e[:j - 1], b,
-                                overwrite_b=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"pttrs failed (info={info})")
+        if not 1 <= j <= self._size:
+            raise ValueError("b must hold 1 to n entries")
+        self._n.value = j
+        _dpttrs(*self._head, _address(b), *self._tail)
+        if self._info.value != 0:
+            raise np.linalg.LinAlgError(f"pttrs failed (info={self._info.value})")
 
 
 def _split_corners(sub0: float, sup_last: float, d: np.ndarray,
@@ -206,6 +233,53 @@ class CyclicTridiagonalSolver:
     def solve(self, b: np.ndarray) -> np.ndarray:
         y = self._inner.solve(b)
         return _corrected(y, self._q, self._zn, self._denom, np.empty_like(y))
+
+
+class SPDCyclicSolver:
+    """LDL^T solver of a symmetric cyclic tridiagonal matrix, which it
+    certifies positive definite.
+
+    diag holds the n diagonal entries and off[i] couples nodes i and i + 1
+    mod n, so off[n-1] is the corner entry M[0, n-1] = M[n-1, 0].  The corner
+    split M = T + w z^T has z = w / gamma with gamma = -diag[0] < 0, so
+    T = M + w w^T / |gamma| is positive definite whenever M is, and is
+    factored by pttrf.  By Sherman-Morrison M is then positive definite
+    exactly when 1 + z.T^{-1} w > 0.  Either test failing, or diag[0] <= 0,
+    raises NotPositiveDefinite: a symmetric cyclic tridiagonal M is positive
+    definite exactly when this constructor returns.
+    """
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        n = diag.shape[0]
+        if n < 3:
+            raise ValueError("cyclic tridiagonal system needs n >= 3")
+        if np.shape(off) != (n,):
+            raise ValueError("diag and off must be vectors of one length")
+        if not diag[0] > 0.0:
+            raise NotPositiveDefinite("cyclic matrix has diag[0] <= 0")
+        d = np.array(diag, dtype=np.float64)
+        w = np.empty(n)
+        self._zn = _split_corners(off[-1], off[-1], d, w)
+        self._inner = SPDTridiagonalSolver(d, off[:-1])
+        self._inner.solve(w)  # q = T^{-1} w, in place
+        self._q = w
+        denom = 1.0 + w[0] + self._zn * w[-1]
+        if not denom > 0.0:
+            raise NotPositiveDefinite(
+                f"cyclic correction denominator {denom:.3e} <= 0: "
+                "matrix not positive definite")
+        self._denom = denom
+
+    def solve(self, b: np.ndarray) -> None:
+        """Overwrite b with M^{-1} b.
+
+        b must be a contiguous float64 vector of length n.
+        """
+        if b.shape != self._q.shape:
+            raise ValueError("b must be a vector of the matrix's size")
+        self._inner.solve(b)  # y = T^{-1} b
+        zy = b[0] + self._zn * b[-1]
+        b -= self._q * (zy / self._denom)
 
 
 class ShiftedCyclicSolver:

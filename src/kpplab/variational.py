@@ -20,7 +20,7 @@ from . import medium as med
 from . import operators as ops
 from .operators import NoConvergence
 from .results import NumericalFailure
-from .tridiag import CyclicTridiagonalSolver
+from .tridiag import NotPositiveDefinite, SPDCyclicSolver
 
 
 class DegenerateTilt(NumericalFailure, ValueError):
@@ -60,7 +60,9 @@ class ThetaResult:
     kp_direct: float  # k_p from the direct tilted solve
     gap_vs_direct: float  # k0_value - kp_direct
     solves: int  # eigen solves made, the direct k_p included
-    stop: str  # "converged", "stagnated" or "max_iters"
+    # "converged", "stagnated" or "max_iters"; "lost_root" when a warm solve
+    # landed below the top eigenvalue and k0_value is a cold solve at theta
+    stop: str
 
 
 def zero_theta(m: med.MediumRealization) -> ThetaField:
@@ -111,6 +113,14 @@ def minimize_theta(m: med.MediumRealization, p: float,
     below tol ("converged"), when no step decreases the objective or three
     steps in a row decrease it by less than the eigenvalue resolution
     ("stagnated"), or after max_iters steps ("max_iters").
+
+    Every eigenvalue the descent reaches is certified before it is used:
+    the Hessian's LDL^T factorization of (lam + delta) I - A exists exactly
+    when lam is within delta of the top eigenvalue.  A warm-started solve
+    that landed on a lower eigenpair fails it; the descent then solves cold
+    at the current theta and stops ("lost_root") with that value.  So the
+    returned k0_value always passed the test.  A cold value that fails it
+    too, or lies below the eigenvalue it replaces, raises NoConvergence.
     """
     theta = (init.theta if init is not None else
              homogenized_theta(m, p).theta).copy()
@@ -123,6 +133,21 @@ def minimize_theta(m: med.MediumRealization, p: float,
     stagnant = 0
     stop = "max_iters"
     for iters in range(max_iters + 1):
+        try:
+            resolvent = _shifted_factor(op, lam)
+        except NotPositiveDefinite:
+            lost = lam
+            lam, phi, op = _eigenpair(m, p, theta, eig_tol)
+            solves += 1
+            try:
+                _shifted_factor(op, lam)
+            except NotPositiveDefinite:
+                raise NoConvergence(iters, abs(lam - lost)) from None
+            if lam < lost:
+                raise NoConvergence(iters, lost - lam)
+            grad_norm = float(np.max(np.abs(_gradient(m, p, theta, phi)[2])))
+            stop = "lost_root"
+            break
         u, ub, grad = _gradient(m, p, theta, phi)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm < tol:
@@ -133,7 +158,7 @@ def minimize_theta(m: med.MediumRealization, p: float,
             break
         if iters == max_iters:
             break
-        for direction in _newton_cg(op, lam, u, ub, 2.0 * m.a * u * u, grad):
+        for direction in _newton_cg(resolvent, u, ub, 2.0 * m.a * u * u, grad):
             accepted, n = _line_search(m, p, theta, lam, phi, direction,
                                        ops._dot(grad, direction),
                                        min(1.0, 4.0 * step), eig_tol, floor)
@@ -157,13 +182,24 @@ def minimize_theta(m: med.MediumRealization, p: float,
                        solves=solves + 1, stop=stop)
 
 
-def _newton_cg(op, lam, u, ub, curv, grad):
+def _shifted_factor(op, lam):
+    """LDL^T solver of (lam + delta) I - A for the symmetric operator A.
+
+    The matrix is positive definite exactly when lam + delta lies above the
+    top eigenvalue of A, so the constructor's NotPositiveDefinite says that
+    lam is not the top eigenvalue (to within delta).
+    """
+    delta = 1e-8 * max(abs(lam), 1.0)
+    return SPDCyclicSolver((lam + delta) - op.diag, -op.sup)
+
+
+def _newton_cg(resolvent, u, ub, curv, grad):
     """Newton direction, then the first CG iterate if it differs.
 
     The Hessian of the simple top eigenvalue is diag(curv) + 2 (u b) R (u b)
     with curv = 2 a u^2 and R = (lam - A)^+ the reduced resolvent on the
-    complement of u.  R is applied by one cyclic tridiagonal solve with
-    (lam + delta) I - A, factored once here, with u projected out of the
+    complement of u.  R is applied by one solve with the factored
+    (lam + delta) I - A of ``_shifted_factor``, with u projected out of the
     right-hand side and of the result (the small delta keeps the matrix
     nonsingular along u; every other eigenvalue of A lies below lam, so it
     barely changes R there).  Projected PCG on the mean-zero
@@ -172,15 +208,13 @@ def _newton_cg(op, lam, u, ub, curv, grad):
     Its first iterate is the preconditioned gradient step, scaled to the
     minimum of the quadratic model along it.
     """
-    delta = 1e-8 * max(abs(lam), 1.0)
-    solver = CyclicTridiagonalSolver(-op.sub, (lam + delta) - op.diag, -op.sup)
     inv_pc = 1.0 / np.maximum(curv, 1e-4 * np.max(curv))
     inv_pc_sum = float(np.sum(inv_pc))
 
     def hess(v):
-        w = ub * v
-        w -= ops._dot(u, w) * u
-        x = solver.solve(w)
+        x = ub * v
+        x -= ops._dot(u, x) * u
+        resolvent.solve(x)
         x -= ops._dot(u, x) * u
         hv = curv * v + 2.0 * ub * x
         return hv - np.mean(hv)

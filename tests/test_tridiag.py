@@ -9,7 +9,8 @@ import pytest
 from scipy.linalg import lapack
 
 from kpplab import tridiag
-from kpplab.tridiag import (CyclicTridiagonalSolver, ShiftedCyclicSolver,
+from kpplab.tridiag import (CyclicTridiagonalSolver, NotPositiveDefinite,
+                            ShiftedCyclicSolver, SPDCyclicSolver,
                             TridiagonalSolver)
 
 
@@ -88,17 +89,30 @@ def test_right_hand_side_of_wrong_size_is_rejected():
 
 def _stall_ratio(fn, attempts=3):
     """Longest gap between the main thread's clock reads while fn runs in a
-    worker thread, over fn's own time alone; the best of a few attempts."""
+    worker thread, over fn's own time alone; the best of a few attempts.
+
+    The worker waits until the main thread is reading the clock before it
+    calls fn, so a GIL held from fn's first statement on counts as a stall
+    (started at once, the worker would take the GIL while the main thread
+    still sat in Thread.start, before its first read).
+    """
     fn()  # fault the buffers in
     ratios = []
     for _ in range(attempts):
         t0 = time.perf_counter()
         fn()
         alone = time.perf_counter() - t0
-        worker = threading.Thread(target=fn)
+        go = threading.Event()
+
+        def run():
+            go.wait()
+            fn()
+
+        worker = threading.Thread(target=run)
         stall = 0.0
         worker.start()
         last = time.perf_counter()
+        go.set()
         while worker.is_alive():
             now = time.perf_counter()
             stall = max(stall, now - last)
@@ -128,3 +142,61 @@ def test_cyclic_factorization_releases_the_gil():
     sub, diag, sup, sigma = _big_cyclic()
     assert _stall_ratio(
         lambda: CyclicTridiagonalSolver(-sub, sigma - diag, -sup)) < 0.15
+
+
+def _spd_cyclic(n, seed):
+    """Diagonals (diag, off) of a strictly diagonally dominant symmetric
+    cyclic tridiagonal matrix; off[i] couples nodes i and i + 1 mod n."""
+    rng = np.random.default_rng(seed)
+    off = -(1.0 + rng.random(n))
+    diag = np.abs(off) + np.abs(np.roll(off, 1)) + 0.5 + rng.random(n)
+    return diag, off
+
+
+def _dense_cyclic(diag, off):
+    n = diag.shape[0]
+    idx = np.arange(n)
+    dense = np.diag(diag)
+    dense[idx, (idx + 1) % n] += off
+    dense[(idx + 1) % n, idx] += off
+    return dense
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000])
+def test_spd_cyclic_solve_matches_dense(n):
+    diag, off = _spd_cyclic(n, n)
+    b = np.random.default_rng(n + 1).standard_normal(n)
+    x = b.copy()
+    SPDCyclicSolver(diag, off).solve(x)  # in place
+    ref = np.linalg.solve(_dense_cyclic(diag, off), b)
+    assert np.allclose(x, ref, rtol=1e-12, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def _laplacian_shift(n, sigma):
+    """sigma I - A for the cyclic A = tridiag(1, -2, 1), whose top
+    eigenvalue is 0 and whose next two are -2 + 2 cos(2 pi / n)."""
+    return np.full(n, sigma + 2.0), np.full(n, -1.0)
+
+
+def test_spd_cyclic_rejects_a_shift_below_the_top_eigenvalue():
+    # three eigenvalues of sigma I - A are negative, so the rank-one update
+    # T = M + w w^T/|gamma| keeps two of them and pttrf fails
+    with pytest.raises(NotPositiveDefinite, match="pttrf"):
+        SPDCyclicSolver(*_laplacian_shift(1000, -1e-4))
+    # one negative eigenvalue: T is positive definite and only the
+    # Sherman-Morrison denominator (here -0.009) gives M away
+    with pytest.raises(NotPositiveDefinite, match="denominator"):
+        SPDCyclicSolver(*_laplacian_shift(4, -0.01))
+    with pytest.raises(NotPositiveDefinite, match="diag"):
+        SPDCyclicSolver(*_laplacian_shift(4, -2.0))
+    # just above the top eigenvalue the factorization exists
+    SPDCyclicSolver(*_laplacian_shift(4, 1e-8))
+    assert issubclass(NotPositiveDefinite, np.linalg.LinAlgError)
+
+
+def test_spd_cyclic_factorization_and_solve_release_the_gil():
+    diag, off = _spd_cyclic(2 ** 20, 7)
+    assert _stall_ratio(lambda: SPDCyclicSolver(diag, off)) < 0.15
+    solver = SPDCyclicSolver(diag, off)
+    b = np.ones(diag.shape[0])
+    assert _stall_ratio(lambda: solver.solve(b)) < 0.15
