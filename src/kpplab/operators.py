@@ -31,7 +31,8 @@ import numpy as np
 from . import medium as med
 from .optimize import minimize_log
 from .results import NumericalFailure, SpeedEstimate
-from .tridiag import CyclicTridiagonalSolver, ShiftedCyclicSolver
+from .tridiag import (CyclicTridiagonalSolver, NotPositiveDefinite,
+                      ShiftedCyclicSolver, ShiftedSPDCyclicSolver)
 
 
 class PositivityViolation(NumericalFailure, ValueError):
@@ -55,6 +56,15 @@ class NoConvergence(NumericalFailure, RuntimeError):
             f"(last residual {residual:.3e})")
         self.max_iters = max_iters
         self.residual = residual
+
+
+class AboveCeiling(Exception):
+    """A symmetric solve stopped once its top eigenvalue was shown to exceed
+    the caller's ceiling; ``bound`` is a Rayleigh quotient above it."""
+
+    def __init__(self, bound: float):
+        super().__init__(f"top eigenvalue >= {bound!r}, above the ceiling")
+        self.bound = bound
 
 
 @dataclass(frozen=True)
@@ -197,7 +207,8 @@ def _arnoldi_jump(solver, v, dim):
 
 
 def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
-                    max_iters: int = 5000, v0: np.ndarray | None = None) -> EigenResult:
+                    max_iters: int = 5000, v0: np.ndarray | None = None,
+                    ceiling: float = np.inf) -> EigenResult:
     """Principal (Perron) eigenvalue and positive eigenfunction.
 
     Inverse (shift-invert) power iteration on sigma*I - A with the shift
@@ -205,8 +216,13 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     root lies in [cw_lo, cw_hi] = [min_i (Av)_i/v_i, max_i (Av)_i/v_i], so
     sigma can sit just above the upper bound, and the resolvent of the
     shifted matrix stays entrywise positive, keeping every iterate positive.
-    Each sweep is one LAPACK dgtsv call (factor and solve at the current
-    shift) into buffers allocated once per call.  When subdominant modes
+    Each sweep factors and solves at the current shift into buffers
+    allocated once per call: a symmetric operator (p = 0, where sub[i+1] ==
+    sup[i] bit for bit) by LDL^T, one pttrf and one two-column pttrs
+    (ShiftedSPDCyclicSolver), a tilted one by one LAPACK dgtsv call
+    (ShiftedCyclicSolver).  sigma > cw_hi >= lam1 keeps sigma I - A
+    positive definite; should pttrf still refuse it, the solve raises
+    NoConvergence.  When subdominant modes
     cluster against the Perron root (long windows), the sweep contracts by
     only 1 - O(gap) and a short Arnoldi run on a factorization at the
     current shift is used to jump across the cluster.  Converged when the
@@ -214,7 +230,17 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     successive eigenvalue estimates differ by < tol or cw_hi - cw_lo < tol;
     the Rayleigh quotient lam also lies in [cw_lo, cw_hi], so the width test
     certifies |lam - lam1| < tol without a confirming sweep.
+
+    For a symmetric operator every Rayleigh quotient is at most lam1, so a
+    finite ``ceiling`` stops the solve with AboveCeiling as soon as a
+    sweep's Rayleigh quotient exceeds it (a caller that only needs to know
+    whether lam1 <= ceiling is spared the remaining sweeps); a solve that
+    returns has lam <= ceiling.  A finite ceiling on a tilted operator
+    raises ValueError.
     """
+    symmetric = op.p == 0
+    if ceiling < np.inf and not symmetric:
+        raise ValueError("a ceiling bounds only a symmetric (p = 0) solve")
     n = op.N
     if np.any(op.sub <= 0) or np.any(op.sup <= 0):
         bad = int(np.argmax((op.sub <= 0) | (op.sup <= 0)))
@@ -245,7 +271,8 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     cw_lo, cw_hi = collatz_wielandt()
     width = max(cw_hi - cw_lo, 1e-15 * scale)
     sigma = cw_hi + max(0.01 * width, 1e-14 * scale)
-    solver = ShiftedCyclicSolver(op.sub, op.diag, op.sup)
+    solver = (ShiftedSPDCyclicSolver(op.diag, op.sup) if symmetric
+              else ShiftedCyclicSolver(op.sub, op.diag, op.sup))
 
     lam = 0.5 * (float(np.min(rowsum)) + cw_hi)
     lam_prev = np.inf
@@ -258,7 +285,10 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     jumps = 0
     while iters < max_iters:
         iters += 1
-        solver.solve(sigma, v, out=v)
+        try:
+            solver.solve(sigma, v, out=v)
+        except NotPositiveDefinite as exc:
+            raise NoConvergence(iters, resid) from exc
         np.abs(v, out=v)
         ymax = np.max(v)
         if not np.isfinite(ymax) or ymax == 0.0:
@@ -267,6 +297,8 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         _matvec_into(op, v, av, tmp)
         cw_lo, cw_hi = collatz_wielandt()
         lam = _dot(v, av) / _dot(v, v)
+        if lam > ceiling:
+            raise AboveCeiling(lam)
         np.multiply(v, lam, out=tmp)
         np.subtract(av, tmp, out=tmp)
         np.abs(tmp, out=tmp)
@@ -333,25 +365,30 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     increasing at p_hi) and expanded geometrically up to 8 times; Brent
     minimization then starts from the bracket's eigen solves and runs over
     log p to relative tolerance tol in p (about 8 solves in all).  The
-    first eigen solve starts cold; later solves warm-start from each other,
-    and the residual of each is kept for the error bar at the minimizer.
+    first eigen solve starts cold; each later one warm-starts from the
+    eigenfunction at the lowest k_p / p found so far, the tilt the search
+    closes in on, and the residual of each is kept for the error bar at
+    the minimizer.
     The provenance counts the Perron sweeps of the whole search
     (``sweeps``, the sum of ``EigenResult.iters``).
     """
     if eig_tol is None:
         eig_tol = min(1e-8, tol * 1e-2)
 
-    warm: dict[str, np.ndarray | None] = {"phi": None}
+    best_g = np.inf
+    best_phi: np.ndarray | None = None
     residuals: dict[float, float] = {}
     sweeps = 0
 
     def g(p: float) -> float:
-        nonlocal sweeps
-        res = k_p(m, p, tol=eig_tol, v0=warm["phi"])
-        warm["phi"] = res.phi
+        nonlocal best_g, best_phi, sweeps
+        res = k_p(m, p, tol=eig_tol, v0=best_phi)
         residuals[p] = res.residual
         sweeps += res.iters
-        return res.lam / p
+        value = res.lam / p
+        if value < best_g:
+            best_g, best_phi = value, res.phi
+        return value
 
     p_star, w, evals, spread = minimize_log(g, p_lo, p_hi, tol)
     resid = residuals[p_star]

@@ -20,7 +20,7 @@ from . import medium as med
 from . import operators as ops
 from .operators import NoConvergence
 from .results import NumericalFailure
-from .tridiag import NotPositiveDefinite, SPDCyclicSolver
+from .tridiag import NotPositiveDefinite, ShiftedSPDCyclicSolver
 
 
 class DegenerateTilt(NumericalFailure, ValueError):
@@ -77,10 +77,10 @@ def k0_with_theta(m: med.MediumRealization, p: float, theta: ThetaField,
     return _eigenpair(m, p, theta.theta, tol)[0]
 
 
-def _eigenpair(m, p, theta, tol, v0=None):
+def _eigenpair(m, p, theta, tol, v0=None, ceiling=np.inf):
     potential = m.c + m.a * (p + theta) ** 2
     op = ops.assemble_symmetric(m, potential)
-    res = ops.principal_eigen(op, tol=tol, v0=v0)
+    res = ops.principal_eigen(op, tol=tol, v0=v0, ceiling=ceiling)
     return res.lam, res.phi, op
 
 
@@ -190,7 +190,9 @@ def _shifted_factor(op, lam):
     lam is not the top eigenvalue (to within delta).
     """
     delta = 1e-8 * max(abs(lam), 1.0)
-    return SPDCyclicSolver((lam + delta) - op.diag, -op.sup)
+    solver = ShiftedSPDCyclicSolver(op.diag, op.sup)
+    solver.factor(lam + delta)
+    return solver
 
 
 def _newton_cg(resolvent, u, ub, curv, grad):
@@ -214,7 +216,7 @@ def _newton_cg(resolvent, u, ub, curv, grad):
     def hess(v):
         x = ub * v
         x -= ops._dot(u, x) * u
-        resolvent.solve(x)
+        resolvent.solve_factored(x)
         x -= ops._dot(u, x) * u
         hv = curv * v + 2.0 * ub * x
         return hv - np.mean(hv)
@@ -253,23 +255,31 @@ def _newton_cg(resolvent, u, ub, curv, grad):
 def _line_search(m, p, theta, lam, phi, direction, slope, t, eig_tol, floor):
     """Armijo backtracking along direction from step t.
 
+    Each trial solve gets the Armijo value lam + 1e-4 t slope as its
+    ceiling, so a trial whose top eigenvalue lies above it stops at the
+    first sweep whose Rayleigh quotient proves so (AboveCeiling), and is
+    rejected with that certified lower bound in place of its eigenvalue.
     After a rejected trial the step moves to the minimizer of the parabola
-    through lam, slope and the trial value, clipped to [0.1, 0.5] of the
-    step.  Gives up after 20 trials, or once the decrease t |slope| the
-    linear model predicts is below the eigenvalue resolution floor.  Returns
-    (step, theta, lam, phi, op) of the accepted point, or None, and the
-    number of eigen solves made.
+    through lam, slope and the trial value or bound, clipped to [0.1, 0.5]
+    of the step; the parabola's curvature stays positive, because the
+    bound exceeds lam + 1e-4 t slope.  Gives up after 20 trials, or once
+    the decrease t |slope| the linear model predicts is below the
+    eigenvalue resolution floor.  Returns (step, theta, lam, phi, op) of
+    the accepted point, or None, and the number of eigen solves made.
     """
     solves = 0
     while solves < 20 and -t * slope > floor:
         cand = theta + t * direction
         cand -= np.mean(cand)
-        lam_t, phi_t, op_t = _eigenpair(m, p, cand, eig_tol, v0=phi)
         solves += 1
-        if lam_t <= lam + 1e-4 * t * slope:
+        try:
+            lam_t, phi_t, op_t = _eigenpair(m, p, cand, eig_tol, v0=phi,
+                                            ceiling=lam + 1e-4 * t * slope)
+        except ops.AboveCeiling as above:
+            fit = -slope * t * t / (2.0 * (above.bound - lam - slope * t))
+            t = min(max(fit, 0.1 * t), 0.5 * t)
+        else:
             return (t, cand, lam_t, phi_t, op_t), solves
-        fit = -slope * t * t / (2.0 * (lam_t - lam - slope * t))
-        t = min(max(fit, 0.1 * t), 0.5 * t)
     return None, solves
 
 

@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from kpplab import medium as med
 from kpplab import operators as ops
+from kpplab import tridiag
 from kpplab import variational as var
 from kpplab.optimize import BracketFailure, minimize_log
 from kpplab.tridiag import CyclicTridiagonalSolver, ShiftedCyclicSolver
@@ -125,18 +127,64 @@ def test_shifted_solve_matches_factored_solver_bitwise(sub, diag, sup, sigma):
     assert np.array_equal(b, ref)
 
 
-def test_sweep_makes_one_gtsv_call_and_no_gttrf(monkeypatch):
-    from kpplab import tridiag
-    calls = {"dgtsv": 0, "dgttrf": 0}
+def _count_lapack(monkeypatch):
+    """Calls of each bound tridiagonal LAPACK routine, counted from now on."""
+    calls = {"dgtsv": 0, "dgttrf": 0, "dpttrf": 0, "dpttrs": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(tridiag, "_" + name)):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(tridiag, "_" + name, counted)
+    return calls
+
+
+def test_sweep_makes_one_gtsv_call_and_no_gttrf(monkeypatch):
+    calls = _count_lapack(monkeypatch)
     m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
     res = ops.principal_eigen(ops.assemble_tilted(m, 1.0), tol=1e-10)
     assert res.jumps == 0
-    assert calls == {"dgtsv": res.iters, "dgttrf": 0}
+    assert calls == {"dgtsv": res.iters, "dgttrf": 0, "dpttrf": 0,
+                     "dpttrs": 0}
+
+
+def test_symmetric_sweep_makes_one_pttrf_call_and_no_gtsv(monkeypatch):
+    # p = 0: sub[i+1] == sup[i] bit for bit, so each sweep factors LDL^T
+    calls = _count_lapack(monkeypatch)
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    op = ops.assemble_tilted(m, 0.0)
+    assert np.array_equal(op.sub[1:], op.sup[:-1]) and op.sub[0] == op.sup[-1]
+    res = ops.principal_eigen(op, tol=1e-10)
+    assert res.jumps == 0
+    assert calls == {"dgtsv": 0, "dgttrf": 0, "dpttrf": res.iters,
+                     "dpttrs": res.iters}
+
+
+def test_ceiling_stops_a_symmetric_solve_with_a_certified_bound():
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    op = ops.assemble_symmetric(m, m.c + 0.5 * m.a)
+    cold = ops.principal_eigen(op, tol=1e-12)
+    for ceiling in (cold.lam - 1e-2, cold.lam - 1e-6):
+        with pytest.raises(ops.AboveCeiling) as stop:
+            ops.principal_eigen(op, tol=1e-12, ceiling=ceiling)
+        assert ceiling < stop.value.bound <= cold.lam + 1e-12
+    # a ceiling above the top eigenvalue changes nothing
+    res = ops.principal_eigen(op, tol=1e-12, ceiling=cold.lam + 1e-6)
+    assert (res.lam, res.iters) == (cold.lam, cold.iters)
+    with pytest.raises(ValueError, match="symmetric"):
+        ops.principal_eigen(ops.assemble_tilted(m, 0.5), ceiling=1e3)
+
+
+def test_failed_ldlt_factorization_is_no_convergence(monkeypatch):
+    def refusing(n, d, e, info):
+        tridiag_pttrf(n, d, e, info)
+        ctypes.c_int.from_address(info).value = 1  # as if a pivot were <= 0
+
+    tridiag_pttrf = tridiag._dpttrf
+    monkeypatch.setattr(tridiag, "_dpttrf", refusing)
+    m = dimer_medium(X=20.0, h=0.02, jitter=0.3)
+    with pytest.raises(ops.NoConvergence) as failure:
+        ops.k_p(m, 0.0)
+    assert isinstance(failure.value.__cause__, tridiag.NotPositiveDefinite)
 
 
 @pytest.mark.parametrize("N", [100, 400])

@@ -10,7 +10,7 @@ from scipy.linalg import lapack
 
 from kpplab import tridiag
 from kpplab.tridiag import (CyclicTridiagonalSolver, NotPositiveDefinite,
-                            ShiftedCyclicSolver, SPDCyclicSolver,
+                            ShiftedCyclicSolver, ShiftedSPDCyclicSolver,
                             TridiagonalSolver)
 
 
@@ -153,6 +153,13 @@ def _spd_cyclic(n, seed):
     return diag, off
 
 
+def _factored(diag, off):
+    """The solver of the matrix with diagonals (diag, off), as 0 I - A."""
+    solver = ShiftedSPDCyclicSolver(-diag, -off)
+    solver.factor(0.0)
+    return solver
+
+
 def _dense_cyclic(diag, off):
     n = diag.shape[0]
     idx = np.arange(n)
@@ -167,36 +174,74 @@ def test_spd_cyclic_solve_matches_dense(n):
     diag, off = _spd_cyclic(n, n)
     b = np.random.default_rng(n + 1).standard_normal(n)
     x = b.copy()
-    SPDCyclicSolver(diag, off).solve(x)  # in place
+    _factored(diag, off).solve_factored(x)  # in place
     ref = np.linalg.solve(_dense_cyclic(diag, off), b)
+    assert np.allclose(x, ref, rtol=1e-12, atol=1e-13 * np.max(np.abs(ref)))
+    # the shifted solve factors afresh on every call, in the same buffers
+    sigma = 0.5
+    a_diag, a_off = sigma - diag, -off  # sigma I - A is the matrix above
+    solver = ShiftedSPDCyclicSolver(a_diag, a_off)
+    out = np.empty(n)
+    for _ in range(2):
+        assert solver.solve(sigma, b, out) is out
+        assert np.allclose(out, ref, rtol=1e-12,
+                           atol=1e-13 * np.max(np.abs(ref)))
+    # and leaves its factorization for solve_factored
+    x = b.copy()
+    solver.solve_factored(x)
     assert np.allclose(x, ref, rtol=1e-12, atol=1e-13 * np.max(np.abs(ref)))
 
 
+def test_spd_cyclic_solve_matches_pivoted_lu():
+    # a symmetric Perron operator, p = 0, shifts near and far above its top
+    # eigenvalue: the LDL^T and the dgtsv solves agree to rounding
+    rng = np.random.default_rng(11)
+    n = 1000
+    off = 1.0 + rng.random(n)
+    diag = -(off + np.roll(off, 1)) + rng.random(n)
+    sub, sup = np.roll(off, 1), off
+    ref_solver = ShiftedCyclicSolver(sub, diag, sup)
+    solver = ShiftedSPDCyclicSolver(diag, off)
+    lam_max = float(np.max(np.linalg.eigvalsh(_dense_cyclic(diag, off))))
+    b = rng.random(n) + 0.1
+    for sigma in (lam_max + 1e-2, lam_max + 0.5):
+        ref = ref_solver.solve(sigma, b, np.empty(n))
+        got = solver.solve(sigma, b, np.empty(n))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def _laplacian_shift(n, sigma):
-    """sigma I - A for the cyclic A = tridiag(1, -2, 1), whose top
+    """Factor sigma I - A for the cyclic A = tridiag(1, -2, 1), whose top
     eigenvalue is 0 and whose next two are -2 + 2 cos(2 pi / n)."""
-    return np.full(n, sigma + 2.0), np.full(n, -1.0)
+    ShiftedSPDCyclicSolver(np.full(n, -2.0), np.full(n, 1.0)).factor(sigma)
 
 
 def test_spd_cyclic_rejects_a_shift_below_the_top_eigenvalue():
     # three eigenvalues of sigma I - A are negative, so the rank-one update
     # T = M + w w^T/|gamma| keeps two of them and pttrf fails
     with pytest.raises(NotPositiveDefinite, match="pttrf"):
-        SPDCyclicSolver(*_laplacian_shift(1000, -1e-4))
+        _laplacian_shift(1000, -1e-4)
     # one negative eigenvalue: T is positive definite and only the
     # Sherman-Morrison denominator (here -0.009) gives M away
     with pytest.raises(NotPositiveDefinite, match="denominator"):
-        SPDCyclicSolver(*_laplacian_shift(4, -0.01))
+        _laplacian_shift(4, -0.01)
     with pytest.raises(NotPositiveDefinite, match="diag"):
-        SPDCyclicSolver(*_laplacian_shift(4, -2.0))
+        _laplacian_shift(4, -2.0)
     # just above the top eigenvalue the factorization exists
-    SPDCyclicSolver(*_laplacian_shift(4, 1e-8))
+    _laplacian_shift(4, 1e-8)
     assert issubclass(NotPositiveDefinite, np.linalg.LinAlgError)
+    # the shifted solve certifies its shift the same way
+    solver = ShiftedSPDCyclicSolver(np.full(1000, -2.0), np.full(1000, 1.0))
+    with pytest.raises(NotPositiveDefinite):
+        solver.solve(-1e-4, np.ones(1000), np.empty(1000))
+    solver.solve(1e-8, np.ones(1000), np.empty(1000))
 
 
 def test_spd_cyclic_factorization_and_solve_release_the_gil():
     diag, off = _spd_cyclic(2 ** 20, 7)
-    assert _stall_ratio(lambda: SPDCyclicSolver(diag, off)) < 0.15
-    solver = SPDCyclicSolver(diag, off)
+    assert _stall_ratio(lambda: _factored(diag, off)) < 0.15
+    solver = _factored(diag, off)
     b = np.ones(diag.shape[0])
-    assert _stall_ratio(lambda: solver.solve(b)) < 0.15
+    assert _stall_ratio(lambda: solver.solve_factored(b)) < 0.15
+    out = np.empty_like(b)
+    assert _stall_ratio(lambda: solver.solve(0.0, b, out)) < 0.15

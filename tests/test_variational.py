@@ -4,7 +4,7 @@ import pytest
 from kpplab import medium as med
 from kpplab import operators as ops
 from kpplab import variational as var
-from kpplab.tridiag import SPDCyclicSolver
+from kpplab.tridiag import ShiftedSPDCyclicSolver
 
 from conftest import MASTER, constant_medium, dimer_medium, dimer_spec, trig_spec
 
@@ -14,7 +14,7 @@ def _assert_top_eigenvalue(m, p, res):
     k0_value is the top eigenvalue there to within the descent's delta."""
     op = ops.assemble_symmetric(m, m.c + m.a * (p + res.theta.theta) ** 2)
     delta = 1e-8 * max(abs(res.k0_value), 1.0)
-    SPDCyclicSolver((res.k0_value + delta) - op.diag, -op.sup)
+    ShiftedSPDCyclicSolver(op.diag, op.sup).factor(res.k0_value + delta)
 
 
 def test_zero_theta_constant_potential():
@@ -141,6 +141,40 @@ def test_lost_root_is_detected_and_resolved_cold():
     cold = var.k0_with_theta(m, p, res.theta, tol=1e-10)
     assert abs(res.k0_value - cold) <= 1e-9 * cold
     _assert_top_eigenvalue(m, p, res)
+
+
+def test_line_search_rejects_trials_at_their_armijo_ceiling(monkeypatch):
+    # a step far past the minimum: each rejected trial stops once a
+    # Rayleigh quotient proves its top eigenvalue above the Armijo value
+    m = dimer_medium(X=50.0, h=0.01, eps=0.1, jitter=0.3)
+    p = 1.5
+    theta = var.homogenized_theta(m, p).theta.copy()
+    lam, phi, _ = var._eigenpair(m, p, theta, 1e-10)
+    grad = var._gradient(m, p, theta, phi)[2]
+    direction = -grad / np.max(np.abs(grad))
+    trials = []
+    solve = ops.principal_eigen
+
+    def recorded(op, *args, ceiling, **kwargs):
+        try:
+            res = solve(op, *args, ceiling=ceiling, **kwargs)
+        except ops.AboveCeiling as above:
+            trials.append((op, ceiling, above.bound))
+            raise
+        trials.append((op, ceiling, res.lam))
+        return res
+
+    monkeypatch.setattr(ops, "principal_eigen", recorded)
+    accepted, solves = var._line_search(m, p, theta, lam, phi, direction,
+                                        ops._dot(grad, direction), 2.0, 1e-10,
+                                        1e-12 * lam)
+    assert accepted is not None and accepted[0] < 2.0
+    assert solves == len(trials) >= 2
+    *stopped, (_, ceiling, lam_t) = trials
+    assert accepted[2] == lam_t <= ceiling
+    for op, ceiling, bound in stopped:
+        top = solve(op, tol=1e-10).lam  # the converged trial: also rejected
+        assert ceiling < bound <= top + 1e-10
 
 
 def test_minimize_from_closed_form_terminates_quickly():
