@@ -144,6 +144,7 @@ def cmd_variational_minimize(args) -> int:
         "p": p, "k0_value": res.k0_value, "k_p_direct": kp,
         "gap_vs_direct": res.gap_vs_direct, "grad_norm": res.grad_norm,
         "iters": res.iters, "solves": res.solves, "stop": res.stop,
+        "start": res.start,
         "theta_sup_norm": res.theta.sup_norm,
         "theta_file": theta_path.name, "N": m.N, "h": m.h, "X": m.X,
         "realization_id": m.realization_id,
@@ -152,7 +153,7 @@ def cmd_variational_minimize(args) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"min theta value = {res.k0_value!r} vs k_p = {kp!r} "
           f"(gap {res.gap_vs_direct:.3e}, {res.iters} Newton steps, "
-          f"{res.solves} eigen solves, {res.stop})")
+          f"{res.solves} eigen solves, {res.stop} from {res.start})")
     return EXIT_OK
 
 

@@ -31,8 +31,7 @@ import numpy as np
 from . import medium as med
 from .optimize import minimize_log
 from .results import NumericalFailure, SpeedEstimate
-from .tridiag import (CyclicTridiagonalSolver, NotPositiveDefinite,
-                      ShiftedCyclicSolver, ShiftedSPDCyclicSolver)
+from .tridiag import ShiftedCyclicSolver, ShiftedSPDCyclicSolver
 
 
 class PositivityViolation(NumericalFailure, ValueError):
@@ -102,21 +101,18 @@ def _matvec_into(op: DiscreteOperator, v: np.ndarray, out: np.ndarray,
 class EigenResult:
     """Principal eigenvalue with positive eigenfunction (max-normalized).
 
-    ``iters`` counts inverse-iteration sweeps plus the Krylov dimension of
-    each Arnoldi jump; ``refactorizations`` counts the shift updates after
-    the first shift (every sweep factors afresh, so it no longer counts
-    factorizations); ``jumps`` counts Arnoldi jumps.  ``cw_width`` is the
-    final Collatz-Wielandt width max_i (A phi)_i/phi_i - min_i (A phi)_i/phi_i:
-    both ``lam`` and the Perron root lie in that interval, so when the solve
-    stopped on it the width bounds the eigenvalue error.
+    ``iters`` counts shifted solves, each one test of a shift against the
+    Perron root, and ``failed_tests`` those whose shift the test placed at
+    or below the root.  ``cw_width`` is the width of the final bracket
+    [lo, hi] on the root: lam lies in it, so it bounds the eigenvalue error.
+    ``residual`` is ||A phi - lam phi||_inf.
     """
 
     lam: float
     phi: np.ndarray
     residual: float
     iters: int
-    refactorizations: int
-    jumps: int
+    failed_tests: int
     cw_width: float
 
     def __post_init__(self):
@@ -127,8 +123,7 @@ class EigenResult:
             "lambda": self.lam,
             "residual": self.residual,
             "iters": self.iters,
-            "refactorizations": self.refactorizations,
-            "jumps": self.jumps,
+            "failed_tests": self.failed_tests,
             "cw_width": self.cw_width,
         }
 
@@ -178,65 +173,52 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-def _arnoldi_jump(solver, v, dim):
-    """One-shot Arnoldi on the shift-inverted operator, from vector v.
-
-    Returns the dominant Ritz vector; a Krylov space of modest dimension
-    resolves the near-degenerate clusters that stall plain inverse iteration.
-    """
-    Q = np.empty((dim + 1, v.shape[0]))
-    Q[0] = v / np.sqrt(_dot(v, v))
-    H = np.zeros((dim + 1, dim))
-    m = dim
-    for j in range(dim):
-        w = solver.solve(Q[j])
-        for _ in range(2):  # modified Gram-Schmidt with one reorthogonalization
-            for i in range(j + 1):
-                c = _dot(Q[i], w)
-                H[i, j] += c
-                w -= c * Q[i]
-        beta = np.sqrt(_dot(w, w))
-        H[j + 1, j] = beta
-        if beta <= 1e-14 * max(1.0, abs(H[j, j])):
-            m = j + 1
-            break
-        Q[j + 1] = w / beta
-    theta, S = np.linalg.eig(H[:m, :m])
-    k = int(np.argmax(np.abs(theta)))
-    return np.einsum("i,ij->j", S[:, k].real, Q[:m])
-
-
 def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
                     max_iters: int = 5000, v0: np.ndarray | None = None,
                     ceiling: float = np.inf) -> EigenResult:
     """Principal (Perron) eigenvalue and positive eigenfunction.
 
-    Inverse (shift-invert) power iteration on sigma*I - A with the shift
-    steered by Collatz-Wielandt bounds: for any positive vector v the Perron
-    root lies in [cw_lo, cw_hi] = [min_i (Av)_i/v_i, max_i (Av)_i/v_i], so
-    sigma can sit just above the upper bound, and the resolvent of the
-    shifted matrix stays entrywise positive, keeping every iterate positive.
-    Each sweep factors and solves at the current shift into buffers
-    allocated once per call: a symmetric operator (p = 0, where sub[i+1] ==
-    sup[i] bit for bit) by LDL^T, one pttrf and one two-column pttrs
-    (ShiftedSPDCyclicSolver), a tilted one by one LAPACK dgtsv call
-    (ShiftedCyclicSolver).  sigma > cw_hi >= lam1 keeps sigma I - A
-    positive definite; should pttrf still refuse it, the solve raises
-    NoConvergence.  When subdominant modes
-    cluster against the Perron root (long windows), the sweep contracts by
-    only 1 - O(gap) and a short Arnoldi run on a factorization at the
-    current shift is used to jump across the cluster.  Converged when the
-    residual ||A phi - lam phi||_inf / ||phi||_inf is < tol and either
-    successive eigenvalue estimates differ by < tol or cw_hi - cw_lo < tol;
-    the Rayleigh quotient lam also lies in [cw_lo, cw_hi], so the width test
-    certifies |lam - lam1| < tol without a confirming sweep.
+    Certified bisection on the Perron root lam1 of A.  For any positive v,
+    lam1 lies in the Collatz-Wielandt interval
+    [min_i (Av)_i/v_i, max_i (Av)_i/v_i], and for a symmetric A (p = 0)
+    above the Rayleigh quotient of v.  The bracket [lo, hi] on lam1 starts
+    from these bounds of the start vector (ones when cold, a warm v0 floored
+    to max(|v0|/max|v0|, 1e-200)), intersected with those of ones, the
+    extreme row sums of A.  Each step tests sigma = (lo + hi)/2 by
+    one shifted solve x = (sigma I - A)^{-1} v, into buffers allocated once
+    per call:
 
-    For a symmetric operator every Rayleigh quotient is at most lam1, so a
-    finite ``ceiling`` stops the solve with AboveCeiling as soon as a
-    sweep's Rayleigh quotient exceeds it (a caller that only needs to know
-    whether lam1 <= ceiling is spared the remaining sweeps); a solve that
-    returns has lam <= ceiling.  A finite ceiling on a tilted operator
-    raises ValueError.
+    * p = 0, where sub[i+1] == sup[i] bit for bit: the LDL^T factorization
+      of ShiftedSPDCyclicSolver (one pttrf, one two-column pttrs) exists
+      exactly when sigma > lam1, so NotPositiveDefinite fails the test.
+    * p != 0: sigma I - A is an irreducible Z-matrix, and x from one dgtsv
+      call (ShiftedCyclicSolver) is entrywise positive exactly when it is a
+      nonsingular M-matrix, that is when sigma > lam1 (Berman & Plemmons,
+      Nonnegative Matrices in the Mathematical Sciences, ch. 6).  A
+      non-positive entry or a LinAlgError fails the test.
+
+    A failed test sets lo = sigma.  A passed one sets hi = sigma and
+    v = x / max x (one inverse-iteration step, floored like v0), then
+    tightens the bracket with the new v's bounds.  Near the root the shift
+    lies within the bracket width of lam1, so a passed step yields the
+    Perron vector whatever the cluster of eigenvalues below it.  Once
+    hi - lo < tol_eff, lam is lo at p = 0 (the larger of the Rayleigh
+    quotient and the failed shifts) and (lo + hi)/2 otherwise; until the
+    residual ||A v - lam v||_inf is below tol_eff too, the solve tests at
+    hi.  tol_eff is tol raised to the rounding floor of the residual.
+
+    A contradiction raises NoConvergence at once: a test that fails at a
+    shift at or above the certified upper bound hi (chained from the
+    LinAlgError that failed it, if any), or a closed bracket whose lam lies
+    outside the Collatz-Wielandt interval of v, which a rounding-level sign
+    flip in a localized x, read as a failed test, would cause.  So does
+    spending max_iters solves.
+
+    A finite ``ceiling`` stops a symmetric solve with AboveCeiling(lo) as
+    soon as lo exceeds it, sparing a caller that only needs to know whether
+    lam1 <= ceiling the remaining solves; a solve that returns has
+    lam <= ceiling.  A finite ceiling on a tilted operator raises
+    ValueError.
     """
     symmetric = op.p == 0
     if ceiling < np.inf and not symmetric:
@@ -246,103 +228,76 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         bad = int(np.argmax((op.sub <= 0) | (op.sup <= 0)))
         raise PositivityViolation(op.p, op.h, bad)
 
-    rowsum = op.sub + op.diag + op.sup
-    scale = max(1.0, float(np.max(np.abs(rowsum))))
     # rounding floor of the residual: ||A phi - lam phi|| cannot beat a few
     # ulps of the largest matrix entry
     tol_eff = max(tol, 128.0 * np.finfo(float).eps * float(np.max(np.abs(op.diag))))
 
-    # the whole workspace of the sweep: the iterate, A v and one scratch vector
+    # the whole workspace: the iterate, a test's solution, A v and a scratch
     v = np.empty(n)
+    x = np.empty(n)
     av = np.empty(n)
     tmp = np.empty(n)
-    if v0 is None:
-        v.fill(1.0)
-    else:
-        np.abs(np.asarray(v0, dtype=float), out=v)
-    v /= np.max(v)
-
-    def collatz_wielandt() -> tuple[float, float]:
-        np.maximum(v, 1e-300, out=tmp)
-        np.divide(av, tmp, out=tmp)
-        return float(np.min(tmp)), float(np.max(tmp))
-
-    _matvec_into(op, v, av, tmp)
-    cw_lo, cw_hi = collatz_wielandt()
-    width = max(cw_hi - cw_lo, 1e-15 * scale)
-    sigma = cw_hi + max(0.01 * width, 1e-14 * scale)
     solver = (ShiftedSPDCyclicSolver(op.diag, op.sup) if symmetric
               else ShiftedCyclicSolver(op.sub, op.diag, op.sup))
+    # the bounds of v = ones, whatever the start vector
+    rowsum = op.sub + op.diag + op.sup
+    lo, hi = float(np.min(rowsum)), float(np.max(rowsum))
+    cw_lo = cw_hi = 0.0
 
-    lam = 0.5 * (float(np.min(rowsum)) + cw_hi)
-    lam_prev = np.inf
-    resid = np.inf
-    resid_prev = np.inf
-    stall = 0
-    jump_dim = 12
-    iters = 0
-    refactorizations = 0
-    jumps = 0
-    while iters < max_iters:
-        iters += 1
-        try:
-            solver.solve(sigma, v, out=v)
-        except NotPositiveDefinite as exc:
-            raise NoConvergence(iters, resid) from exc
-        np.abs(v, out=v)
-        ymax = np.max(v)
-        if not np.isfinite(ymax) or ymax == 0.0:
-            raise NoConvergence(iters, resid)
-        v /= ymax
+    def take(y: np.ndarray) -> None:
+        """v = |y| / max|y|, floored at 1e-200; narrow [lo, hi] by its bounds."""
+        nonlocal lo, hi, cw_lo, cw_hi
+        np.abs(y, out=v)
+        np.divide(v, np.max(v), out=v)
+        np.maximum(v, 1e-200, out=v)
         _matvec_into(op, v, av, tmp)
-        cw_lo, cw_hi = collatz_wielandt()
-        lam = _dot(v, av) / _dot(v, v)
-        if lam > ceiling:
-            raise AboveCeiling(lam)
-        np.multiply(v, lam, out=tmp)
-        np.subtract(av, tmp, out=tmp)
-        np.abs(tmp, out=tmp)
-        resid = float(np.max(tmp))
-        if resid < tol_eff and (abs(lam - lam_prev) < tol_eff
-                                or cw_hi - cw_lo < tol_eff):
-            break
-        lam_prev = lam
+        np.divide(av, v, out=tmp)
+        cw_lo, cw_hi = float(np.min(tmp)), float(np.max(tmp))
+        lo, hi = max(lo, cw_lo), min(hi, cw_hi)
+        if symmetric:
+            lo = max(lo, _dot(v, av) / _dot(v, v))
 
-        # steer the shift toward the Perron root; cw_hi >= lam1 keeps it safe
-        width = max(cw_hi - cw_lo, 1e-15 * scale)
-        target = cw_hi + max(0.01 * width, 1e-14 * scale)
-        if target < sigma - 1e-3 * (sigma - cw_hi):
-            sigma = target
-            refactorizations += 1
+    take(np.ones(n) if v0 is None else np.asarray(v0, dtype=float))
+    resid = np.inf
+    iters = failed = 0
+    while True:
+        if lo > ceiling:
+            raise AboveCeiling(lo)
+        closed = hi - lo < tol_eff
+        if closed:
+            lam = min(lo, hi) if symmetric else 0.5 * (lo + hi)
+            if not cw_lo <= lam <= cw_hi:
+                raise NoConvergence(iters, resid)
+            np.multiply(v, lam, out=tmp)
+            np.subtract(av, tmp, out=tmp)
+            np.abs(tmp, out=tmp)
+            resid = float(np.max(tmp))
+            if resid < tol_eff:
+                break
+        if iters == max_iters:
+            raise NoConvergence(max_iters, resid)
+        sigma = hi if closed else 0.5 * (lo + hi)
+        iters += 1
+        # the exception is not kept past its except clause: its traceback
+        # holds this frame, and the cycle would keep the buffers alive
+        try:
+            solver.solve(sigma, v, out=x)
+            passed = symmetric or np.min(x) > 0.0
+        except np.linalg.LinAlgError as exc:
+            if sigma >= hi:
+                raise NoConvergence(iters, resid) from exc
+            passed = False
+        if passed:
+            hi = sigma
+            take(x)
+            continue
+        if sigma >= hi:
+            raise NoConvergence(iters, resid)
+        failed += 1
+        lo = sigma
 
-        ratio = resid / resid_prev if resid_prev < np.inf else 0.0
-        resid_prev = resid
-        if ratio > 0.55:
-            stall += 1
-        else:
-            stall = 0
-        if stall >= 4 and iters >= 4:
-            stall = 0
-            dim = min(jump_dim, n - 2, max_iters - iters)
-            if dim >= 2:
-                shifted = CyclicTridiagonalSolver(-op.sub, sigma - op.diag, -op.sup)
-                u = _arnoldi_jump(shifted, v, dim)
-                iters += dim
-                jumps += 1
-                umax = np.max(np.abs(u))
-                if umax > 0 and np.all(np.isfinite(u)):
-                    np.abs(u, out=v)
-                    v /= umax
-                jump_dim = min(jump_dim + 6, 30)
-    else:
-        raise NoConvergence(max_iters, resid)
-
-    phi = v / np.max(v)
-    if np.min(phi) <= 0:
-        raise NoConvergence(iters, resid)
-    return EigenResult(lam=lam, phi=phi, residual=resid, iters=iters,
-                       refactorizations=refactorizations, jumps=jumps,
-                       cw_width=cw_hi - cw_lo)
+    return EigenResult(lam=lam, phi=v, residual=resid, iters=iters,
+                       failed_tests=failed, cw_width=hi - lo)
 
 
 def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
@@ -369,7 +324,7 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     eigenfunction at the lowest k_p / p found so far, the tilt the search
     closes in on, and the residual of each is kept for the error bar at
     the minimizer.
-    The provenance counts the Perron sweeps of the whole search
+    The provenance counts the shifted solves of the whole search
     (``sweeps``, the sum of ``EigenResult.iters``).
     """
     if eig_tol is None:

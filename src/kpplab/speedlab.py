@@ -90,9 +90,9 @@ def _per_seed(config: dict, one, threads: int,
     ``probe``, when given, is stream 0's realization, already sampled by the
     suite, and is used as it is.  Results come back in stream order whatever
     the thread count, each dict tagged with its "stream".  With threads > 1
-    the seeds run on a thread pool: the Perron sweeps, Arnoldi jumps and
-    Hessian solves release the GIL in LAPACK (see ``tridiag``) and numpy's
-    loops release it too, so the workers compute at the same time.  Each
+    the seeds run on a thread pool: the Perron and Hessian solves release
+    the GIL in LAPACK (see ``tridiag``) and numpy's loops release it too,
+    so the workers compute at the same time.  Each
     seed builds its own solvers, so no workspace is shared between threads.
     """
     def task(stream):
@@ -437,7 +437,8 @@ def suite_eigen_properties(config: dict, threads: int = 1,
                                      max_iters=config["attainment_max_iters"])
             rec["attainment"] = {"p": p_att,
                                  "rel_gap": res.gap_vs_direct / res.kp_direct,
-                                 "iters": res.iters, "stop": res.stop}
+                                 "iters": res.iters, "stop": res.stop,
+                                 "start": res.start}
         return rec
 
     points = _per_seed(config, one, threads)

@@ -239,9 +239,9 @@ class CyclicTridiagonalSolver:
 class ShiftedCyclicSolver:
     """Solves (sigma I - A) x = b for a fixed cyclic tridiagonal A, any sigma.
 
-    For a caller whose shift moves between solves (the Perron sweep): each
-    solve factors and solves in one LAPACK dgtsv call on the two right-hand
-    sides [b, w] of the corner split, where a CyclicTridiagonalSolver built
+    For a caller whose shift moves between solves (the Perron bisection):
+    each solve factors and solves in one LAPACK dgtsv call on the two
+    right-hand sides [b, w] of the corner split, where a CyclicTridiagonalSolver built
     for the same shift would spend a gttrf and two gttrs.  dgtsv runs
     gttrf's elimination and gttrs's substitution, so the result is the same
     to the last bit.  The LAPACK buffers and the dgtsv argument list are
@@ -295,7 +295,7 @@ class ShiftedSPDCyclicSolver:
     factorization returns.
 
     solve(sigma, b, out) serves a caller whose shift moves between solves
-    (the symmetric Perron sweep): one pttrf and one pttrs on the two
+    (the symmetric Perron bisection): one pttrf and one pttrs on the two
     right-hand sides [b, w].  factor(sigma) and then solve_factored(b) serve
     one that solves many times at one shift (the Newton-CG Hessian).  The
     LAPACK buffers and argument lists are built here, once, and every call

@@ -12,6 +12,7 @@ homogenized drift that attains the harmonic-mean lower bound.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +57,14 @@ class ThetaResult:
     theta: ThetaField
     k0_value: float
     grad_norm: float
-    iters: int  # accepted Newton steps
+    iters: int  # accepted Newton steps, of both descents after a restart
     kp_direct: float  # k_p from the direct tilted solve
     gap_vs_direct: float  # k0_value - kp_direct
     solves: int  # eigen solves made, the direct k_p included
-    # "converged", "stagnated" or "max_iters"; "lost_root" when a warm solve
-    # landed below the top eigenvalue and k0_value is a cold solve at theta
-    stop: str
+    stop: str  # "converged", "stagnated" or "max_iters"
+    # the start of the descent that gave the result: "homogenized" (the
+    # default), "init" (the caller's) or "closed_form" (the restart)
+    start: str
 
 
 def zero_theta(m: med.MediumRealization) -> ThetaField:
@@ -102,58 +104,86 @@ def minimize_theta(m: med.MediumRealization, p: float,
     """Projected Newton-CG descent on theta for the variational objective.
 
     The objective is convex in theta (a monotone convex eigenvalue composed
-    with the pointwise convex map theta -> a (p+theta)^2), so the limit is the
-    global infimum.  Each Newton step solves the Newton system on the
-    mean-zero subspace by preconditioned CG (``_newton_cg``) and takes an
-    Armijo line search on the full step, first trying min(1, 4 x the last
-    accepted step); if the Newton step finds no decrease, the first CG
-    iterate (the preconditioned gradient step) is tried instead.  ``iters``
-    counts accepted Newton steps and ``solves`` every eigen solve made, the
-    direct k_p included.  Stops when the projected-gradient sup-norm drops
-    below tol ("converged"), when no step decreases the objective or three
-    steps in a row decrease it by less than the eigenvalue resolution
-    ("stagnated"), or after max_iters steps ("max_iters").
+    with the pointwise convex map theta -> a (p+theta)^2), so a descent that
+    reaches a zero gradient has found the global infimum.  The descent
+    starts from ``init``, by default the homogenized drift, and runs
+    ``_descend``.  On a localized medium it can crawl: the top eigenvalue
+    is a near-degenerate maximum over localized wells, and a Newton step
+    lowers one well at a time.  So a descent that stops anything but
+    "converged" is restarted once from ``theta_closed_form``, the minimizer
+    built from the +p and -p tilted eigenfunctions, with the steps left of
+    max_iters; of the two results the one with the lower eigenvalue is
+    returned, and ``start`` names where its descent began.  A closed form
+    that raises DegenerateTilt keeps the first result.  ``iters`` counts
+    the accepted Newton steps of both descents and ``solves`` every eigen
+    solve made, the closed form's three and the direct k_p included.
 
-    Every eigenvalue the descent reaches is certified before it is used:
-    the Hessian's LDL^T factorization of (lam + delta) I - A exists exactly
-    when lam is within delta of the top eigenvalue.  A warm-started solve
-    that landed on a lower eigenpair fails it; the descent then solves cold
-    at the current theta and stops ("lost_root") with that value.  So the
-    returned k0_value always passed the test.  A cold value that fails it
-    too, or lies below the eigenvalue it replaces, raises NoConvergence.
+    Every eigenvalue the descent reaches is certified (``principal_eigen``
+    brackets the top eigenvalue), and the Hessian's LDL^T factorization of
+    (lam + delta) I - A exists exactly when lam is within delta of it.  A
+    factorization that fails all the same raises NoConvergence.
     """
-    theta = (init.theta if init is not None else
-             homogenized_theta(m, p).theta).copy()
-    theta -= np.mean(theta)
     eig_tol = min(1e-10, tol)
+    start = "homogenized" if init is None else "init"
+    theta = (init if init is not None else homogenized_theta(m, p)).theta
+    theta, lam, grad_norm, iters, solves, stop = _descend(
+        m, p, theta, tol, max_iters, eig_tol)
+    if stop != "converged":
+        try:
+            closed = theta_closed_form(m, p, tol=eig_tol)
+        except DegenerateTilt:
+            solves += 2  # k_p and k_0
+        else:
+            c_theta, c_lam, c_grad, c_iters, c_solves, c_stop = _descend(
+                m, p, closed.theta, tol, max_iters - iters, eig_tol)
+            iters += c_iters
+            solves += 3 + c_solves
+            if c_lam < lam:
+                theta, lam, grad_norm, stop = c_theta, c_lam, c_grad, c_stop
+                start = "closed_form"
+    field = ThetaField.from_raw(theta, project=True)
+    kp_direct = ops.k_p(m, p, tol=eig_tol).lam
+    return ThetaResult(theta=field, k0_value=lam, grad_norm=grad_norm,
+                       iters=iters, kp_direct=kp_direct,
+                       gap_vs_direct=lam - kp_direct,
+                       solves=solves + 1, stop=stop, start=start)
+
+
+def _descend(m, p, theta, tol, max_iters, eig_tol):
+    """Projected Newton-CG descent from theta, at most max_iters steps.
+
+    Each Newton step solves the Newton system on the mean-zero subspace by
+    preconditioned CG (``_newton_cg``) and takes an Armijo line search on
+    the full step, first trying min(1, 4 x the last accepted step); if the
+    Newton step finds no decrease, the first CG iterate (the preconditioned
+    gradient step) is tried instead.  Stops when the projected-gradient
+    sup-norm drops below tol ("converged"); "stagnated" when no step
+    decreases the objective, when three steps in a row decrease it by less
+    than the eigenvalue resolution, or when the best gradient norm has not
+    halved over the last 20 accepted steps; or after max_iters steps
+    ("max_iters").  Returns (theta, lam, grad_norm, iters, solves, stop).
+    """
+    theta = theta - np.mean(theta)
     lam, phi, op = _eigenpair(m, p, theta, eig_tol)
     solves = 1
     floor = 1e-12 * max(abs(lam), 1.0)  # eigenvalue resolution
     step = 1.0
     stagnant = 0
+    best = deque(maxlen=21)  # best gradient norm so far, at each iterate
+    grad_norm = np.inf
     stop = "max_iters"
     for iters in range(max_iters + 1):
         try:
             resolvent = _shifted_factor(op, lam)
-        except NotPositiveDefinite:
-            lost = lam
-            lam, phi, op = _eigenpair(m, p, theta, eig_tol)
-            solves += 1
-            try:
-                _shifted_factor(op, lam)
-            except NotPositiveDefinite:
-                raise NoConvergence(iters, abs(lam - lost)) from None
-            if lam < lost:
-                raise NoConvergence(iters, lost - lam)
-            grad_norm = float(np.max(np.abs(_gradient(m, p, theta, phi)[2])))
-            stop = "lost_root"
-            break
+        except NotPositiveDefinite as exc:
+            raise NoConvergence(iters, grad_norm) from exc
         u, ub, grad = _gradient(m, p, theta, phi)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm < tol:
             stop = "converged"
             break
-        if stagnant >= 3:
+        best.append(min(grad_norm, best[-1]) if best else grad_norm)
+        if stagnant >= 3 or (len(best) == 21 and best[-1] > 0.5 * best[0]):
             stop = "stagnated"
             break
         if iters == max_iters:
@@ -166,20 +196,12 @@ def minimize_theta(m: med.MediumRealization, p: float,
             if accepted is not None:
                 break
         if accepted is None:
-            if iters == 0:
-                raise NoConvergence(1, grad_norm)
             stop = "stagnated"
             break
         lam_before = lam
         step, theta, lam, phi, op = accepted
         stagnant = stagnant + 1 if lam_before - lam < floor else 0
-
-    field = ThetaField.from_raw(theta, project=True)
-    kp_direct = ops.k_p(m, p, tol=eig_tol).lam
-    return ThetaResult(theta=field, k0_value=lam, grad_norm=grad_norm,
-                       iters=iters, kp_direct=kp_direct,
-                       gap_vs_direct=lam - kp_direct,
-                       solves=solves + 1, stop=stop)
+    return theta, lam, grad_norm, iters, solves, stop
 
 
 def _shifted_factor(op, lam):
@@ -256,8 +278,8 @@ def _line_search(m, p, theta, lam, phi, direction, slope, t, eig_tol, floor):
     """Armijo backtracking along direction from step t.
 
     Each trial solve gets the Armijo value lam + 1e-4 t slope as its
-    ceiling, so a trial whose top eigenvalue lies above it stops at the
-    first sweep whose Rayleigh quotient proves so (AboveCeiling), and is
+    ceiling, so a trial whose top eigenvalue lies above it stops as soon as
+    the lower end of its Perron bracket proves so (AboveCeiling), and is
     rejected with that certified lower bound in place of its eigenvalue.
     After a rejected trial the step moves to the minimizer of the parabola
     through lam, slope and the trial value or bound, clipped to [0.1, 0.5]

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import tracemalloc
 
 import numpy as np
@@ -86,6 +87,14 @@ def test_rayleigh_quotients_bounded_by_lambda(rng):
     assert max(quotients) <= res.lam + 1e-10
 
 
+def _dense(op):
+    dense = np.diag(op.diag)
+    idx = np.arange(op.N)
+    dense[idx, (idx - 1) % op.N] += op.sub
+    dense[idx, (idx + 1) % op.N] += op.sup
+    return dense
+
+
 @pytest.mark.parametrize("N", [10, 100])
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_small_window_matches_dense_eigvals(N, p):
@@ -93,11 +102,7 @@ def test_small_window_matches_dense_eigvals(N, p):
     m = dimer_medium(X=N * h, h=h, jitter=0.3)
     op = ops.assemble_tilted(m, p)
     res = ops.principal_eigen(op, tol=1e-12)
-    dense = np.diag(op.diag)
-    idx = np.arange(N)
-    dense[idx, (idx - 1) % N] += op.sub
-    dense[idx, (idx + 1) % N] += op.sup
-    ref = float(np.max(np.linalg.eigvals(dense).real))
+    ref = float(np.max(np.linalg.eigvals(_dense(op)).real))
     assert res.phi.shape == (N,)
     assert abs(res.lam - ref) <= 1e-9
     assert np.min(res.phi) > 0
@@ -142,7 +147,6 @@ def test_sweep_makes_one_gtsv_call_and_no_gttrf(monkeypatch):
     calls = _count_lapack(monkeypatch)
     m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
     res = ops.principal_eigen(ops.assemble_tilted(m, 1.0), tol=1e-10)
-    assert res.jumps == 0
     assert calls == {"dgtsv": res.iters, "dgttrf": 0, "dpttrf": 0,
                      "dpttrs": 0}
 
@@ -154,9 +158,11 @@ def test_symmetric_sweep_makes_one_pttrf_call_and_no_gtsv(monkeypatch):
     op = ops.assemble_tilted(m, 0.0)
     assert np.array_equal(op.sub[1:], op.sup[:-1]) and op.sub[0] == op.sup[-1]
     res = ops.principal_eigen(op, tol=1e-10)
-    assert res.jumps == 0
-    assert calls == {"dgtsv": 0, "dgttrf": 0, "dpttrf": res.iters,
-                     "dpttrs": res.iters}
+    assert calls["dgtsv"] == calls["dgttrf"] == 0
+    # each passed test makes one of each call; a failed one stops at the
+    # first check it fails
+    passed = res.iters - res.failed_tests
+    assert passed <= calls["dpttrs"] <= calls["dpttrf"] <= res.iters
 
 
 def test_ceiling_stops_a_symmetric_solve_with_a_certified_bound():
@@ -187,21 +193,78 @@ def test_failed_ldlt_factorization_is_no_convergence(monkeypatch):
     assert isinstance(failure.value.__cause__, tridiag.NotPositiveDefinite)
 
 
+def test_a_false_failed_test_is_caught_at_once(monkeypatch):
+    # a rounding-level sign flip in x would read a passed test as failed and
+    # put lo above the root; the closed bracket then leaves the
+    # Collatz-Wielandt interval of v, and the solve stops there instead of
+    # testing at hi until max_iters
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    op = ops.assemble_tilted(m, 1.0)
+    top = ops.principal_eigen(op, tol=1e-10).lam
+    solve = ShiftedCyclicSolver.solve
+    flipped = []
+
+    def flipping(self, sigma, b, out):
+        x = solve(self, sigma, b, out)
+        if sigma > top + 1e-3 and not flipped:
+            flipped.append(sigma)
+            x[-1] = -x[-1]
+        return x
+
+    monkeypatch.setattr(ShiftedCyclicSolver, "solve", flipping)
+    with pytest.raises(ops.NoConvergence) as failure:
+        ops.principal_eigen(op, tol=1e-10)
+    assert flipped and failure.value.max_iters < 100
+
+
 @pytest.mark.parametrize("N", [100, 400])
 def test_width_certified_stop_matches_dense_eigvals(N):
-    # at tol=1e-8 these solves stop on the Collatz-Wielandt width, one sweep
-    # before successive estimates would agree to tol
+    # the solve stops once its bracket on the root is narrower than tol, so
+    # the bracket's width bounds the eigenvalue error
     h, tol = 0.05, 1e-8
     m = dimer_medium(X=N * h, h=h, jitter=0.3)
     op = ops.assemble_tilted(m, 1.0)
     res = ops.principal_eigen(op, tol=tol)
-    dense = np.diag(op.diag)
-    idx = np.arange(N)
-    dense[idx, (idx - 1) % N] += op.sub
-    dense[idx, (idx + 1) % N] += op.sup
-    ref = float(np.max(np.linalg.eigvals(dense).real))
+    ref = float(np.max(np.linalg.eigvals(_dense(op)).real))
     assert res.cw_width < tol
     assert abs(res.lam - ref) <= tol
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -1.0])
+def test_warm_start_from_the_second_eigenvector_finds_the_top(p):
+    # |second eigenvector| is a positive start vector that is close to an
+    # eigenpair below the top; the bracket still closes on the top
+    h = 0.05
+    m = dimer_medium(X=200 * h, h=h, jitter=0.3)
+    op = ops.assemble_tilted(m, p)
+    if p == 0.0:
+        vals, vecs = np.linalg.eigh(_dense(op))
+    else:
+        vals, vecs = np.linalg.eig(_dense(op))
+    order = np.argsort(vals.real)
+    top, second = vals[order[-1]].real, vecs[:, order[-2]].real
+    res = ops.principal_eigen(op, tol=1e-10, v0=second)
+    assert abs(res.lam - top) <= 1e-10
+    assert np.min(res.phi) > 0
+
+
+def test_random_warm_starts_return_the_dense_top_eigenvalue():
+    # whatever the positive start vector, even one whose entries span 300
+    # decades (those below 1e-200 are floored), the returned eigenvalue is
+    # the top one to within the solve's tol_eff
+    rng = np.random.default_rng(11)
+    h, tol = 0.05, 1e-10
+    for stream in range(3):
+        m = dimer_medium(X=120 * h, h=h, stream=stream, jitter=0.3)
+        for p in (0.0, 0.5, -1.5):
+            op = ops.assemble_tilted(m, p)
+            top = float(np.max(np.linalg.eigvals(_dense(op)).real))
+            tol_eff = max(tol, 128.0 * np.finfo(float).eps
+                          * float(np.max(np.abs(op.diag))))
+            for v0 in (rng.random(m.N) + 1e-3,
+                       np.exp(rng.uniform(-700.0, 0.0, m.N))):
+                res = ops.principal_eigen(op, tol=tol, v0=v0)
+                assert abs(res.lam - top) <= tol_eff
 
 
 def test_sweep_reductions_bypass_blas(monkeypatch):
@@ -212,10 +275,9 @@ def test_sweep_reductions_bypass_blas(monkeypatch):
         monkeypatch.setattr(np, name, forbidden)
     monkeypatch.setattr(np.linalg, "norm", forbidden)
 
-    # a long window whose sweeps stall on a cluster, so a jump is taken
+    # a long window whose eigenvalues cluster against the Perron root
     m = dimer_medium(X=1600.0, h=0.05, c_plus=3.0, c_minus=0.2, jitter=0.3)
-    res = ops.principal_eigen(ops.assemble_tilted(m, 0.0), tol=1e-10)
-    assert res.jumps >= 1
+    ops.principal_eigen(ops.assemble_tilted(m, 0.0), tol=1e-10)
 
     d = dimer_medium(X=20.0, h=0.02, eps=0.1, jitter=0.3)
     out = var.minimize_theta(d, 1.0, max_iters=2)
@@ -385,13 +447,37 @@ def test_speed_search_memory_bounded():
     assert held < 2 * 8 * m.N
 
 
+def test_stopped_solves_leave_no_reference_cycle():
+    # a failed symmetric test raises NotPositiveDefinite; an exception kept
+    # past its except clause, when AboveCeiling then ends the solve, ties
+    # the solve's frame, and every buffer in it, into a cycle that only the
+    # garbage collector frees
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    op = ops.assemble_symmetric(m, m.c + 0.5 * m.a)
+    top = ops.principal_eigen(op, tol=1e-10).lam
+    v0 = np.random.default_rng(0).random(m.N) + 0.1  # far from the root
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for ceiling in (top - 1e-2, top - 1e-4, top - 1e-6):
+            try:
+                ops.principal_eigen(op, tol=1e-10, v0=v0, ceiling=ceiling)
+            except ops.AboveCeiling:
+                pass
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 8 * m.N
+
+
 def test_eigenresult_serializes():
     m = constant_medium(X=20.0, h=0.02)
     res = ops.k_p(m, 1.0, tol=1e-8)
     d = res.to_dict()
     assert d["lambda"] == res.lam
-    assert (d["iters"], d["refactorizations"], d["jumps"], d["cw_width"]) == (
-        res.iters, res.refactorizations, res.jumps, res.cw_width)
+    assert (d["iters"], d["failed_tests"], d["cw_width"]) == (
+        res.iters, res.failed_tests, res.cw_width)
     assert "phi" not in d
 
 

@@ -142,9 +142,10 @@ def test_run_suite_writes_reproducible_payloads(tmp_path):
         b1 = (tmp_path / "run1" / name).read_bytes()
         b2 = (tmp_path / "run2" / name).read_bytes()
         assert b1 == b2
-    # each seed's descent says why it stopped, a lost root included
+    # each seed's descent says why it stopped and where it started
     assert all(p["attainment"]["stop"] in
-               ("converged", "stagnated", "max_iters", "lost_root")
+               ("converged", "stagnated", "max_iters")
+               and p["attainment"]["start"] in ("homogenized", "closed_form")
                for p in rep1.points)
     manifest = RunManifest.read(tmp_path / "run1" / "manifest.json")
     # the environment is recorded, and kept out of the run key
