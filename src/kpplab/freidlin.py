@@ -201,7 +201,9 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate
     x_lo = gamma_lo - lam1
     cells = _cell_fields(m, ode_step)
 
-    def g(x: float) -> float:
+    # one mu is a single product, with nothing to stop early: the ceiling
+    # minimize_log passes is ignored, and every value is exact
+    def g(x: float, ceiling: float) -> float:
         gamma = lam1 + x
         return gamma / riccati_mu(m, gamma, ode_step, lambda1_estimate=lam1,
                                   cells=cells)

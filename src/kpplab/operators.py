@@ -24,6 +24,7 @@ Perron root with positive eigenvector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +59,20 @@ class NoConvergence(NumericalFailure, RuntimeError):
 
 
 class AboveCeiling(Exception):
-    """A symmetric solve stopped once its top eigenvalue was shown to exceed
-    the caller's ceiling; ``bound`` is a Rayleigh quotient above it."""
+    """A solve stopped once its Perron root was shown to exceed the caller's
+    ceiling.
 
-    def __init__(self, bound: float):
-        super().__init__(f"top eigenvalue >= {bound!r}, above the ceiling")
+    ``bound`` is the certified lower end of the solve's bracket, above the
+    ceiling and at or below the root; ``iters`` and ``failed_tests`` count
+    the shifted solves it made, as in EigenResult.  Control flow, not a
+    NumericalFailure.
+    """
+
+    def __init__(self, bound: float, iters: int, failed_tests: int):
+        super().__init__(f"Perron root >= {bound!r}, above the ceiling")
         self.bound = bound
+        self.iters = iters
+        self.failed_tests = failed_tests
 
 
 @dataclass(frozen=True)
@@ -214,15 +223,14 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     flip in a localized x, read as a failed test, would cause.  So does
     spending max_iters solves.
 
-    A finite ``ceiling`` stops a symmetric solve with AboveCeiling(lo) as
-    soon as lo exceeds it, sparing a caller that only needs to know whether
-    lam1 <= ceiling the remaining solves; a solve that returns has
-    lam <= ceiling.  A finite ceiling on a tilted operator raises
-    ValueError.
+    A finite ``ceiling`` stops the solve with AboveCeiling as soon as lo
+    exceeds it, sparing a caller that only needs to know whether
+    lam1 <= ceiling the remaining solves.  Every lo is certified, at any
+    tilt: a Collatz-Wielandt minimum, a Rayleigh quotient at p = 0, or a
+    failed shift.  A solve that returns has lo <= ceiling, so at p = 0
+    lam <= ceiling; at p != 0 lam may exceed it by up to tol_eff/2.
     """
     symmetric = op.p == 0
-    if ceiling < np.inf and not symmetric:
-        raise ValueError("a ceiling bounds only a symmetric (p = 0) solve")
     n = op.N
     if np.any(op.sub <= 0) or np.any(op.sup <= 0):
         bad = int(np.argmax((op.sub <= 0) | (op.sup <= 0)))
@@ -262,7 +270,9 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     iters = failed = 0
     while True:
         if lo > ceiling:
-            raise AboveCeiling(lo)
+            # raised unbound: an exception held in a local of this frame
+            # would tie the frame, and its buffers, into a reference cycle
+            raise AboveCeiling(lo, iters, failed)
         closed = hi - lo < tol_eff
         if closed:
             lam = min(lo, hi) if symmetric else 0.5 * (lo + hi)
@@ -301,14 +311,16 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
 
 
 def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
-        v0: np.ndarray | None = None) -> EigenResult:
+        v0: np.ndarray | None = None, ceiling: float = np.inf) -> EigenResult:
     """Principal eigenvalue k_p of the tilted operator on the window.
 
     Every call solves; ``v0`` only seeds the iteration (warm start).  A cold
     solve is deterministic, so asking for the same tilt again gives the same
-    bits.
+    bits.  ``ceiling`` is principal_eigen's: the solve stops with
+    AboveCeiling once k_p is certified to exceed it.
     """
-    return principal_eigen(assemble_tilted(m, p), tol=tol, v0=v0)
+    return principal_eigen(assemble_tilted(m, p), tol=tol, v0=v0,
+                           ceiling=ceiling)
 
 
 def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0,
@@ -318,43 +330,64 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     One ``minimize_log`` search over p > 0 from the bracket [p_lo, p_hi]:
     the bracket is validated (the map must be decreasing at p_lo and
     increasing at p_hi) and expanded geometrically up to 8 times; Brent
-    minimization then starts from the bracket's eigen solves and runs over
-    log p to relative tolerance tol in p (about 8 solves in all).  The
-    first eigen solve starts cold; each later one warm-starts from the
-    eigenfunction at the lowest k_p / p found so far, the tilt the search
-    closes in on, and the residual of each is kept for the error bar at
-    the minimizer.
-    The provenance counts the shifted solves of the whole search
-    (``sweeps``, the sum of ``EigenResult.iters``).
+    minimization then runs over log p to relative tolerance tol in p.
+    The search asks each point only whether k_p / p lies at or below a
+    ceiling (the bracket's midpoint value, then Brent's best value), so
+    each solve runs under ``ceiling * p`` and stops as soon as its
+    certified lower bound on k_p clears it (AboveCeiling); the search then
+    reads that bound / p in place of the value.  A point that beats the
+    ceiling is solved to eig_tol, and so is the minimizer.  The first eigen
+    solve starts cold; each later one warm-starts from the eigenfunction at
+    the lowest k_p / p found so far, the tilt the search closes in on, and
+    the residual of each is kept for the error bar at the minimizer.
+
+    The provenance keeps the exact k_p of every completed solve
+    (``kp_evals``) and the bound of every point only bounded
+    (``kp_bounds``), and counts the search's shifted solves (``sweeps``,
+    stopped solves included), its failed tests (``failed_tests``) and the
+    solves stopped at a ceiling (``stopped``).
     """
     if eig_tol is None:
         eig_tol = min(1e-8, tol * 1e-2)
 
     best_g = np.inf
     best_phi: np.ndarray | None = None
-    residuals: dict[float, float] = {}
-    sweeps = 0
+    solved: dict[float, tuple[float, float]] = {}  # p -> (k_p, residual)
+    bounds: dict[float, float] = {}  # p -> lower bound on k_p, if unsolved
+    sweeps = failed = stopped = 0
 
-    def g(p: float) -> float:
-        nonlocal best_g, best_phi, sweeps
-        res = k_p(m, p, tol=eig_tol, v0=best_phi)
-        residuals[p] = res.residual
+    def g(p: float, ceiling: float) -> float:
+        nonlocal best_g, best_phi, sweeps, failed, stopped
+        try:
+            res = k_p(m, p, tol=eig_tol, v0=best_phi, ceiling=ceiling * p)
+        except AboveCeiling as above:
+            sweeps += above.iters
+            failed += above.failed_tests
+            stopped += 1
+            bounds[p] = above.bound
+            # bound > ceiling * p; keep the quotient above ceiling through
+            # the division's rounding
+            return max(above.bound / p, math.nextafter(ceiling, math.inf))
         sweeps += res.iters
+        failed += res.failed_tests
+        solved[p] = (res.lam, res.residual)
+        bounds.pop(p, None)
         value = res.lam / p
         if value < best_g:
             best_g, best_phi = value, res.phi
         return value
 
-    p_star, w, evals, spread = minimize_log(g, p_lo, p_hi, tol)
-    resid = residuals[p_star]
+    p_star, w, _, spread = minimize_log(g, p_lo, p_hi, tol)
+    resid = solved[p_star][1]
     err = spread + resid / p_star
     return SpeedEstimate(
         value=w, method="eigen", optimizer=p_star, err=err,
         provenance={
             "realization_id": m.realization_id, "X": m.X, "h": m.h,
             "tol": tol, "eig_tol": eig_tol, "eig_residual": resid,
-            "kp_evals": {repr(q): evals[q] * q for q in sorted(evals)},
-            "sweeps": sweeps,
+            "kp_evals": {repr(q): solved[q][0] for q in sorted(solved)},
+            "kp_bounds": {repr(q): bounds[q] for q in sorted(bounds)},
+            "sweeps": sweeps, "failed_tests": failed, "stopped": stopped,
         })
 
 

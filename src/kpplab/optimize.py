@@ -28,40 +28,67 @@ class BracketFailure(NumericalFailure, RuntimeError):
 def minimize_log(f, lo: float, hi: float, rel_tol: float, floor: float = 0.0):
     """Minimum of a unimodal f over x > floor, bracketed and then Brent in log x.
 
+    The objective is called as f(x, ceiling).  It returns f(x) whenever
+    f(x) <= ceiling; otherwise it may return any certified lower bound in
+    (ceiling, f(x)], so an evaluation that only has to show that x is
+    worse than the ceiling can stop early.  An objective that ignores the
+    ceiling and always returns f(x) meets this contract.  A value at or
+    below its ceiling is therefore exact; one above it is read as a lower
+    bound.  A stored value is reused when it settles the comparison at
+    hand (it is exact, or a bound above the new ceiling); otherwise the
+    point is evaluated again under the new ceiling.
+
     Bracket: starting from floor <= lo < hi (lo > 0), f at the geometric
-    midpoint sqrt(lo hi) must undercut f at both ends.  While it does not,
-    an end whose value is not above the midpoint's moves out: lo halves its
-    distance to floor and hi doubles.  Once lo sits on floor and f(lo) is
-    still not above the midpoint, the minimum lies in [floor, mid], so hi
-    contracts to mid instead.  After 8 such moves BracketFailure is raised.
+    midpoint sqrt(lo hi) must undercut f at both ends.  The midpoint is
+    evaluated first and exactly (no ceiling), then each end with its value
+    as the ceiling, so every branch below rests on exact values or on
+    bounds that clear the midpoint.  While the midpoint does not undercut
+    both ends, an end whose value is not above the midpoint's moves out: lo
+    halves its distance to floor and hi doubles.  Once lo sits on floor and
+    f(lo) is still not above the midpoint, the minimum lies in [floor, mid],
+    so hi contracts to mid instead.  After 8 such moves BracketFailure is
+    raised.
 
     Brent: parabolic interpolation through the three best points, with a
     golden-section step whenever the parabola is not trusted, run over
     t = log x on the bracket.  Both speed objectives are a cosh in the log of
     their variable in a homogeneous medium (c/p + a p = 2 sqrt(ac)
     cosh(log p - log p*)), which a parabola in t fits and one in x does not.
-    The search starts at the bracket's best interior point, with lo and hi
-    as the other two points, so the first step is the parabola through known
-    values.  It stops when the bracket around the best point is narrower
-    than rel_tol in t, a relative rel_tol in x.  No point is evaluated twice.
+    The search starts at the bracket's best interior point among those
+    evaluated exactly, with lo and hi as the other two points, so the first
+    step is the parabola through known values.  Each trial is evaluated
+    with the current best value as its ceiling: a trial that beats it is
+    exact, and one that does not narrows the bracket as before, its bound
+    standing in for its value in the parabola.  It stops when the bracket
+    around the best point is narrower than rel_tol in t, a relative rel_tol
+    in x.
 
-    Returns (x_min, f_min, evals, spread): evals maps every evaluated point
-    to its value, and spread is the largest value at the evaluated
-    neighbours of x_min (x_min included) minus f_min.
+    Returns (x_min, f_min, evals, spread).  x_min and f_min come from an
+    exact evaluation.  evals maps every evaluated point to its last value,
+    exact or bound; every bound lies above f_min.  spread is the largest
+    value at the evaluated neighbours of x_min (x_min included) minus
+    f_min; where a neighbour holds a bound, it is computed from that lower
+    bound.
     """
     if not (0.0 <= floor <= lo < hi and lo > 0.0):
         raise ValueError("minimize_log needs 0 <= floor <= lo < hi and lo > 0")
-    evals: dict[float, float] = {}
+    # each evaluated point -> (value, the ceiling it was evaluated under)
+    known: dict[float, tuple[float, float]] = {}
 
-    def cached(x: float) -> float:
-        if x not in evals:
-            evals[x] = f(x)
-        return evals[x]
+    def exact(x: float) -> bool:
+        fx_, ceiling = known[x]
+        return fx_ <= ceiling
+
+    def at(x: float, ceiling: float) -> float:
+        if x not in known or not (exact(x) or known[x][0] > ceiling):
+            known[x] = (f(x, ceiling), ceiling)
+        return known[x][0]
 
     expansions = 0
     while True:
         mid = math.sqrt(lo * hi)
-        f_lo, f_mid, f_hi = cached(lo), cached(mid), cached(hi)
+        f_mid = at(mid, math.inf)
+        f_lo, f_hi = at(lo, f_mid), at(hi, f_mid)
         if f_mid < f_lo and f_mid < f_hi:
             break
         if expansions >= _MAX_EXPAND:
@@ -76,15 +103,16 @@ def minimize_log(f, lo: float, hi: float, rel_tol: float, floor: float = 0.0):
         expansions += 1
 
     # a, b, x, w, v and u below are logs; xs maps each log to its point
-    xs = {math.log(q): q for q in evals}
+    xs = {math.log(q): q for q in known}
 
-    def value(t: float) -> float:
-        return cached(xs.setdefault(t, math.exp(t)))
+    def value(t: float, ceiling: float) -> float:
+        return at(xs.setdefault(t, math.exp(t)), ceiling)
 
     a, b = math.log(lo), math.log(hi)
-    x = min((q for q in xs if a < q < b), key=value)
+    x = min((q for q in xs if a < q < b and exact(xs[q])),
+            key=lambda q: known[xs[q]][0])
     w, v = a, b
-    fx, fw, fv = value(x), value(w), value(v)
+    fx, fw, fv = (known[xs[q]][0] for q in (x, w, v))
     d = e = b - a
     tol1 = 0.25 * rel_tol
     while True:
@@ -108,7 +136,7 @@ def minimize_log(f, lo: float, hi: float, rel_tol: float, floor: float = 0.0):
             e = (a - x) if x >= xm else (b - x)
             d = _CGOLD * e
         u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-        fu = value(u)
+        fu = value(u, fx)
         if fu <= fx:
             a, b = (x, b) if u >= x else (a, x)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
@@ -120,7 +148,8 @@ def minimize_log(f, lo: float, hi: float, rel_tol: float, floor: float = 0.0):
                 v, fv = u, fu
 
     x_min = xs[x]
-    pts = sorted(evals)
+    evals = {q: known[q][0] for q in sorted(known)}
+    pts = list(evals)
     i = pts.index(x_min)
     spread = max(evals[q] for q in pts[max(0, i - 1):i + 2]) - fx
     return x_min, fx, evals, spread

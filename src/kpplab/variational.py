@@ -116,7 +116,8 @@ def minimize_theta(m: med.MediumRealization, p: float,
     returned, and ``start`` names where its descent began.  A closed form
     that raises DegenerateTilt keeps the first result.  ``iters`` counts
     the accepted Newton steps of both descents and ``solves`` every eigen
-    solve made, the closed form's three and the direct k_p included.
+    solve made, the closed form's three and the direct k_p included; after
+    a restart the closed form's cold +p solve is the direct k_p.
 
     Every eigenvalue the descent reaches is certified (``principal_eigen``
     brackets the top eigenvalue), and the Hessian's LDL^T factorization of
@@ -128,9 +129,10 @@ def minimize_theta(m: med.MediumRealization, p: float,
     theta = (init if init is not None else homogenized_theta(m, p)).theta
     theta, lam, grad_norm, iters, solves, stop = _descend(
         m, p, theta, tol, max_iters, eig_tol)
+    kp = None
     if stop != "converged":
         try:
-            closed = theta_closed_form(m, p, tol=eig_tol)
+            closed, kp = _closed_form(m, p, eig_tol)
         except DegenerateTilt:
             solves += 2  # k_p and k_0
         else:
@@ -142,11 +144,13 @@ def minimize_theta(m: med.MediumRealization, p: float,
                 theta, lam, grad_norm, stop = c_theta, c_lam, c_grad, c_stop
                 start = "closed_form"
     field = ThetaField.from_raw(theta, project=True)
-    kp_direct = ops.k_p(m, p, tol=eig_tol).lam
+    if kp is None:
+        kp = ops.k_p(m, p, tol=eig_tol)
+        solves += 1
     return ThetaResult(theta=field, k0_value=lam, grad_norm=grad_norm,
-                       iters=iters, kp_direct=kp_direct,
-                       gap_vs_direct=lam - kp_direct,
-                       solves=solves + 1, stop=stop, start=start)
+                       iters=iters, kp_direct=kp.lam,
+                       gap_vs_direct=lam - kp.lam,
+                       solves=solves, stop=stop, start=start)
 
 
 def _descend(m, p, theta, tol, max_iters, eig_tol):
@@ -322,6 +326,11 @@ def theta_closed_form(m: med.MediumRealization, p: float,
     k_p > k_0 + 10*tol (away from the degenerate flat piece of p -> k_p,
     where the minimizer comes from a scaling argument instead).
     """
+    return _closed_form(m, p, tol)[0]
+
+
+def _closed_form(m, p, tol):
+    """theta_closed_form's field, and its cold +p solve, the direct k_p."""
     kp = ops.k_p(m, p, tol=tol)
     k0 = ops.k_p(m, 0.0, tol=tol)
     if not kp.lam > k0.lam + 10.0 * tol:
@@ -333,7 +342,7 @@ def theta_closed_form(m: med.MediumRealization, p: float,
     two_h = 2.0 * m.h
     dlog_phi = (np.roll(log_phi, -1) - np.roll(log_phi, 1)) / two_h
     dlog_psi = (np.roll(log_psi, -1) - np.roll(log_psi, 1)) / two_h
-    return ThetaField.from_raw(0.5 * (-dlog_phi + dlog_psi), project=True)
+    return ThetaField.from_raw(0.5 * (-dlog_phi + dlog_psi), project=True), kp
 
 
 def homogenized_theta(m: med.MediumRealization, p: float) -> ThetaField:

@@ -1,5 +1,6 @@
 import ctypes
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -176,8 +177,22 @@ def test_ceiling_stops_a_symmetric_solve_with_a_certified_bound():
     # a ceiling above the top eigenvalue changes nothing
     res = ops.principal_eigen(op, tol=1e-12, ceiling=cold.lam + 1e-6)
     assert (res.lam, res.iters) == (cold.lam, cold.iters)
-    with pytest.raises(ValueError, match="symmetric"):
-        ops.principal_eigen(ops.assemble_tilted(m, 0.5), ceiling=1e3)
+
+
+@pytest.mark.parametrize("p", [0.5, -0.5])
+def test_ceiling_stops_a_tilted_solve_with_a_certified_bound(p):
+    # at p != 0 the bracket's lower end comes from failed shifts and
+    # Collatz-Wielandt minima, both certified lower bounds on k_p
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    op = ops.assemble_tilted(m, p)
+    cold = ops.principal_eigen(op, tol=1e-12)
+    for ceiling in (cold.lam - 1e-2, cold.lam - 1e-6):
+        with pytest.raises(ops.AboveCeiling) as stop:
+            ops.principal_eigen(op, tol=1e-12, ceiling=ceiling)
+        assert ceiling < stop.value.bound <= cold.lam + 1e-12
+        assert 0 <= stop.value.failed_tests <= stop.value.iters < cold.iters
+    res = ops.principal_eigen(op, tol=1e-12, ceiling=cold.lam + 1e-6)
+    assert (res.lam, res.iters) == (cold.lam, cold.iters)
 
 
 def test_failed_ldlt_factorization_is_no_convergence(monkeypatch):
@@ -374,18 +389,18 @@ def test_speed_bracket_expands():
 
 def test_bracket_failure():
     # no interior minimum: increasing, decreasing, or increasing from the floor
-    for f, floor in ((lambda x: x, 0.0), (lambda x: -x, 0.0),
-                     (lambda x: x, 1.0)):
+    for f, floor in ((lambda x, ceiling: x, 0.0), (lambda x, ceiling: -x, 0.0),
+                     (lambda x, ceiling: x, 1.0)):
         with pytest.raises(BracketFailure):
             minimize_log(f, 1.0, 2.0, 1e-4, floor=floor)
     with pytest.raises(ValueError):
-        minimize_log(lambda x: x, 1.0, 2.0, 1e-4, floor=1.5)
+        minimize_log(lambda x, ceiling: x, 1.0, 2.0, 1e-4, floor=1.5)
 
 
 def test_minimize_log_from_bracket():
     calls = []
 
-    def f(x):
+    def f(x, ceiling):
         calls.append(x)
         return x + 1.0 / x
 
@@ -405,7 +420,7 @@ def test_minimize_log_contracts_at_floor():
     floor, x_star = 0.5, 0.505
     calls = []
 
-    def f(x):
+    def f(x, ceiling):
         calls.append(x)
         return x / x_star + x_star / x
 
@@ -416,15 +431,104 @@ def test_minimize_log_contracts_at_floor():
     assert len(calls) == len(set(calls)) == len(evals)
 
 
-def test_speed_search_solve_budget():
+def _bounding(f, calls):
+    """Objective that returns ceiling + 1e-3 whenever f(x) exceeds its
+    ceiling, the loosest bound minimize_log's contract allows, and records
+    each call as (x, ceiling, value)."""
+    def g(x, ceiling):
+        fx = f(x)
+        value = fx if fx <= ceiling else min(ceiling + 1e-3, fx)
+        calls.append((x, ceiling, value))
+        return value
+    return g
+
+
+@pytest.mark.parametrize("lo,hi,floor", [(0.3, 3.0, 0.0), (0.01, 0.02, 0.0),
+                                         (5.0, 8.0, 0.0), (0.5, 4.0, 0.5)])
+def test_minimize_log_returns_an_exact_minimum_under_ceilings(lo, hi, floor):
+    x_star = 0.505 if floor else 1.0
+
+    def f(x):
+        return x / x_star + x_star / x
+
+    calls = []
+    x, fx, evals, spread = minimize_log(_bounding(f, calls), lo, hi, 1e-4,
+                                        floor=floor)
+    assert abs(x - x_star) <= 1e-4 * x_star
+    assert fx == f(x) == evals[x]
+    # no bound is ever returned as the minimum: each call's value that
+    # undercut its ceiling was exact, and every bound lies above fx
+    assert all(v == f(q) for q, c, v in calls if v <= c)
+    assert fx == min(evals.values())
+    assert 0.0 <= spread <= max(f(q) for q in evals) - fx
+    # the search took bounds in place of values
+    assert any(v < f(q) for q, _, v in calls)
+
+
+def test_minimize_log_solves_a_stale_floor_bound_again():
+    # t = log x: the minimum sits at t = 0.35, the bracket [1, e^0.4] starts
+    # on the floor.  The floor end is bounded under the first midpoint
+    # (t = 0.2), hi doubles, and the new midpoint (t = 0.547) lies above
+    # that bound; read as a value, the stale bound would contract hi to the
+    # midpoint although f(lo) lies above it.  The floor end must be solved
+    # again under the new ceiling instead.
+    def f(x):
+        return (math.log(x) - 0.35) ** 2 + 1.0
+
+    calls = []
+    lo, hi = 1.0, math.exp(0.4)
+    x, fx, evals, _ = minimize_log(_bounding(f, calls), lo, hi, 1e-4,
+                                   floor=lo)
+    at_floor = [(c, v) for q, c, v in calls if q == lo]
+    mid0, mid1 = math.sqrt(lo * hi), math.sqrt(lo * 2.0 * hi)
+    assert [c for c, _ in at_floor] == [f(mid0), f(mid1)]
+    stale = at_floor[0][1]
+    assert f(mid0) < stale <= f(mid1) < f(lo)
+    # the second evaluation clears the new midpoint, so no contraction
+    assert at_floor[1][1] > f(mid1)
+    assert abs(math.log(x) - 0.35) <= 1e-4
+    assert fx == f(x)
+
+
+def test_speed_search_solve_budget(monkeypatch):
     m = dimer_medium(X=50.0, h=0.02, eps=0.2, jitter=0.3)
+    solves = []
+    solve = ops.principal_eigen
+
+    def counted(*args, **kwargs):
+        try:
+            res = solve(*args, **kwargs)
+        except ops.AboveCeiling as above:
+            solves.append((above.iters, above.failed_tests))
+            raise
+        solves.append((res.iters, res.failed_tests))
+        return res
+
+    monkeypatch.setattr(ops, "principal_eigen", counted)
     est = ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4)
-    assert len(est.provenance["kp_evals"]) <= 10
-    # the search's sweeps: a deterministic count, at least one per solve
-    sweeps = est.provenance["sweeps"]
+    monkeypatch.undo()
+    prov = est.provenance
+    exact, bounds = prov["kp_evals"], prov["kp_bounds"]
+    assert len(exact) <= 10
+    assert len(exact) + len(bounds) <= 12
+    assert not set(exact) & set(bounds)
+    # the search's sweeps: a deterministic count that covers every solve,
+    # the stopped ones included
+    sweeps = prov["sweeps"]
     assert isinstance(sweeps, int)
-    assert sweeps >= len(est.provenance["kp_evals"])
-    assert ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4).provenance["sweeps"] == sweeps
+    assert prov["stopped"] == len(solves) - len(exact) > 0
+    assert sweeps == sum(i for i, _ in solves) >= len(exact)
+    assert prov["failed_tests"] == sum(f for _, f in solves)
+    assert ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4).provenance == prov
+    # kp_evals holds true k_p values, kp_bounds certified lower bounds
+    eig_tol = prov["eig_tol"]
+    for key, lam in exact.items():
+        assert abs(lam - ops.k_p(m, float(key), tol=eig_tol).lam) <= eig_tol
+    for key, bound in bounds.items():
+        # at or below the cold solve's certified upper end on k_p
+        cold = ops.k_p(m, float(key), tol=eig_tol)
+        assert bound <= cold.lam + cold.cw_width
+    assert est.value == exact[repr(est.optimizer)] / est.optimizer
 
 
 def test_dimer_speed_strictly_above_homogeneous():
@@ -448,27 +552,46 @@ def test_speed_search_memory_bounded():
 
 
 def test_stopped_solves_leave_no_reference_cycle():
-    # a failed symmetric test raises NotPositiveDefinite; an exception kept
-    # past its except clause, when AboveCeiling then ends the solve, ties
-    # the solve's frame, and every buffer in it, into a cycle that only the
-    # garbage collector frees
+    # a failed symmetric test raises NotPositiveDefinite, and AboveCeiling
+    # carries the stopped solve's traceback; an exception kept in a local of
+    # the solve's frame ties that frame, and every buffer in it, into a
+    # cycle that only the garbage collector frees
     m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
-    op = ops.assemble_symmetric(m, m.c + 0.5 * m.a)
-    top = ops.principal_eigen(op, tol=1e-10).lam
     v0 = np.random.default_rng(0).random(m.N) + 0.1  # far from the root
+    for op in (ops.assemble_symmetric(m, m.c + 0.5 * m.a),
+               ops.assemble_tilted(m, 0.5), ops.assemble_tilted(m, -0.5)):
+        top = ops.principal_eigen(op, tol=1e-10).lam
+        gc.disable()
+        tracemalloc.start()
+        try:
+            stops = 0
+            for ceiling in (top - 1e-2, top - 1e-4, top - 1e-6):
+                try:
+                    ops.principal_eigen(op, tol=1e-10, v0=v0, ceiling=ceiling)
+                except ops.AboveCeiling:
+                    stops += 1
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert stops == 3
+        assert held < 8 * m.N
+
+
+def test_speed_search_leaves_no_reference_cycle():
+    # a whole search, its stopped solves included, frees every solve's
+    # buffers by reference counting alone
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
     gc.disable()
     tracemalloc.start()
     try:
-        for ceiling in (top - 1e-2, top - 1e-4, top - 1e-6):
-            try:
-                ops.principal_eigen(op, tol=1e-10, v0=v0, ceiling=ceiling)
-            except ops.AboveCeiling:
-                pass
+        est = ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert held < 8 * m.N
+    assert est.provenance["stopped"] > 0
+    assert held < 2 * 8 * m.N
 
 
 def test_eigenresult_serializes():

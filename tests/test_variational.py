@@ -144,6 +144,27 @@ def test_crawling_descent_restarts_from_the_closed_form():
     _assert_top_eigenvalue(m, p, res)
 
 
+def test_restart_solves_k_p_at_plus_p_once(monkeypatch):
+    # the closed form's cold +p solve is the direct k_p: the restarted
+    # descent solves it once, and kp_direct keeps its bits
+    m = med.sample_realization(trig_spec(), MASTER, 0, 100.0, 0.02)
+    p = 3.0 * ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4).optimizer
+    cold = []
+    k_p = ops.k_p
+
+    def counting(m, q, tol=1e-8, v0=None, ceiling=float("inf")):
+        if v0 is None:
+            cold.append(q)
+        return k_p(m, q, tol=tol, v0=v0, ceiling=ceiling)
+
+    monkeypatch.setattr(ops, "k_p", counting)
+    res = var.minimize_theta(m, p, max_iters=300)
+    monkeypatch.undo()
+    assert res.start == "closed_form"
+    assert cold.count(p) == 1
+    assert res.kp_direct == ops.k_p(m, p, tol=1e-10).lam
+
+
 def test_line_search_rejects_trials_at_their_armijo_ceiling(monkeypatch):
     # a step far past the minimum: each rejected trial stops once a
     # certified lower bound puts its top eigenvalue above the Armijo value
