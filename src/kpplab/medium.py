@@ -315,27 +315,29 @@ def _build_profile(spec: EnsembleSpec, child_seed: int, X: float):
         # a 1 - O(corr/X) distortion) so the two phases alternate across the
         # wrap as well; a truncated wrap would occasionally fuse two
         # same-phase blocks into an artificial double-width patch that can
-        # dominate the principal eigenvalue
-        lengths: list[float] = []
-        total = 0.0
-        # the sum can land a rounding error short of X: count that as covered
-        while total < X * (1.0 - 1e-9) or len(lengths) % 2 == 1:
-            mean_len = spec.len1 if len(lengths) % 2 == 0 else spec.len2
+        # dominate the principal eigenvalue.  The lengths are drawn in
+        # batches of block pairs: uniform(size=k) yields the doubles of k
+        # scalar draws, and cumsum adds in the order of a running total, so
+        # the blocks are those of drawing one length at a time
+        pairs = int(X / (spec.len1 + spec.len2)) + 8
+        lengths = np.empty(0)
+        while True:
+            batch = np.tile(np.array([spec.len1, spec.len2], dtype=float), pairs)
             if spec.length_dist == "uniform":
-                length = mean_len + rng.uniform(-spec.jitter, spec.jitter)
-            else:
-                length = mean_len
-            lengths.append(length)
-            total += length
-        factor = X / total
-        starts, a_vals, c_vals = [], [], []
-        acc = 0.0
-        for j, length in enumerate(lengths):
-            starts.append(acc * factor)
-            plus_phase = j % 2 == 0
-            a_vals.append(spec.a_plus if plus_phase else spec.a_minus)
-            c_vals.append(spec.c_plus if plus_phase else spec.c_minus)
-            acc += length
+                batch += rng.uniform(-spec.jitter, spec.jitter, size=batch.size)
+            lengths = np.concatenate((lengths, batch))
+            totals = np.cumsum(lengths)
+            # the sum can land a rounding error short of X: count that as
+            # covered; the count of blocks must be even
+            covered = np.flatnonzero(totals[1::2] >= X * (1.0 - 1e-9))
+            if covered.size:
+                n = 2 * int(covered[0]) + 2
+                break
+        factor = X / float(totals[n - 1])
+        starts = np.concatenate(([0.0], totals[:n - 1])) * factor
+        plus_phase = np.arange(n) % 2 == 0
+        a_vals = np.where(plus_phase, spec.a_plus, spec.a_minus)
+        c_vals = np.where(plus_phase, spec.c_plus, spec.c_minus)
         return _PiecewiseProfile(starts, a_vals, c_vals, spec.eps, X)
     if isinstance(spec, RandomTrigSpec):
         ns = [max(1, round(f * X / (2.0 * np.pi))) for f in spec.base_freqs]

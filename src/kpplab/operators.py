@@ -187,42 +187,56 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
                     ceiling: float = np.inf) -> EigenResult:
     """Principal (Perron) eigenvalue and positive eigenfunction.
 
-    Certified bisection on the Perron root lam1 of A.  For any positive v,
+    Certified bisection on the Perron root lam1 of A.  For any positive w,
     lam1 lies in the Collatz-Wielandt interval
-    [min_i (Av)_i/v_i, max_i (Av)_i/v_i], and for a symmetric A (p = 0)
-    above the Rayleigh quotient of v.  The bracket [lo, hi] on lam1 starts
-    from these bounds of the start vector (ones when cold, a warm v0 floored
-    to max(|v0|/max|v0|, 1e-200)), intersected with those of ones, the
-    extreme row sums of A.  Each step tests sigma = (lo + hi)/2 by
-    one shifted solve x = (sigma I - A)^{-1} v, into buffers allocated once
-    per call:
+    [min_i (Aw)_i/w_i, max_i (Aw)_i/w_i], and for a symmetric A (p = 0)
+    above the Rayleigh quotient of w (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, ch. 2).  The bracket [lo, hi] on
+    lam1 starts from these bounds of the start vector (ones when cold, a
+    warm v0 floored to max(|v0|/max|v0|, 1e-200); a v0 that is not finite
+    raises ValueError), intersected with those of ones, the extreme row
+    sums of A.  Each step tests sigma = (lo + hi)/2 by one shifted solve
+    x = (sigma I - A)^{-1} v:
 
     * p = 0, where sub[i+1] == sup[i] bit for bit: the LDL^T factorization
       of ShiftedSPDCyclicSolver (one pttrf, one two-column pttrs) exists
       exactly when sigma > lam1, so NotPositiveDefinite fails the test.
     * p != 0: sigma I - A is an irreducible Z-matrix, and x from one dgtsv
       call (ShiftedCyclicSolver) is entrywise positive exactly when it is a
-      nonsingular M-matrix, that is when sigma > lam1 (Berman & Plemmons,
-      Nonnegative Matrices in the Mathematical Sciences, ch. 6).  A
+      nonsingular M-matrix, that is when sigma > lam1 (ibid., ch. 6).  A
       non-positive entry or a LinAlgError fails the test.
 
-    A failed test sets lo = sigma.  A passed one sets hi = sigma and
-    v = x / max x (one inverse-iteration step, floored like v0), then
-    tightens the bracket with the new v's bounds.  Near the root the shift
-    lies within the bracket width of lam1, so a passed step yields the
-    Perron vector whatever the cluster of eigenvalues below it.  Once
+    A passed test sets hi = sigma, a failed one lo = sigma.  Whenever the
+    solve returned a finite x, passed or failed, w = max(|x|/max|x|, 1e-200)
+    is a positive vector, and the bracket is intersected with its bounds.
+    Near the root x is dominated by -phi_1/(lam1 - sigma) below it and by
+    phi_1/(sigma - lam1) above it, so either way w is nearly the Perron
+    vector.  w becomes the iterate v (one inverse-iteration step) after a
+    passed test always, after a failed one only when its Collatz-Wielandt
+    interval is narrower than v's; far below the root x mixes signs, and
+    the bounds of |x| are loose.  The two vectors swap buffers, so nothing
+    is copied.  An x that is not finite (a cold test far below the root can
+    overflow dgtsv) is skipped, and v stays.  Near the root the shift lies
+    within the bracket width of lam1, so a passed step yields the Perron
+    vector whatever the cluster of eigenvalues below it.  Once
     hi - lo < tol_eff, lam is lo at p = 0 (the larger of the Rayleigh
     quotient and the failed shifts) and (lo + hi)/2 otherwise; until the
     residual ||A v - lam v||_inf is below tol_eff too, the solve tests at
     hi.  tol_eff is tol raised to the rounding floor of the residual.
 
-    A contradiction raises NoConvergence at once: a test that fails at a
-    shift at or above the certified upper bound hi (chained from the
-    LinAlgError that failed it, if any), or a closed bracket whose lam lies
-    outside the Collatz-Wielandt interval of v, which a rounding-level sign
-    flip in a localized x, read as a failed test, would cause.  So does
-    spending max_iters solves.
+    A contradiction raises NoConvergence at once:
+    * a test that fails at a shift at or above the certified upper bound
+      hi (chained from the LinAlgError that failed it, if any);
+    * a failed test whose w has its Collatz-Wielandt upper bound below
+      sigma.  For sigma above the root, (A x)_i/x_i = sigma - v_i/x_i
+      < sigma, so a passed test misread as failed, say through a
+      rounding-level sign flip in a localized x, is caught at that test;
+    * a closed bracket whose lam lies outside the Collatz-Wielandt interval
+      of v.
+    So does spending max_iters solves.
 
+    The solver and the buffers of x and A x are built at the first test,
+    once per call: a solve that its start bounds already settle makes none.
     A finite ``ceiling`` stops the solve with AboveCeiling as soon as lo
     exceeds it, sparing a caller that only needs to know whether
     lam1 <= ceiling the remaining solves.  Every lo is certified, at any
@@ -240,34 +254,39 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     # ulps of the largest matrix entry
     tol_eff = max(tol, 128.0 * np.finfo(float).eps * float(np.max(np.abs(op.diag))))
 
-    # the whole workspace: the iterate, a test's solution, A v and a scratch
+    # the iterate v, A v and a scratch; a test's solution x and A x are
+    # allocated with the solver, at the first test
     v = np.empty(n)
-    x = np.empty(n)
     av = np.empty(n)
     tmp = np.empty(n)
-    solver = (ShiftedSPDCyclicSolver(op.diag, op.sup) if symmetric
-              else ShiftedCyclicSolver(op.sub, op.diag, op.sup))
-    # the bounds of v = ones, whatever the start vector
+
+    def bounds(w: np.ndarray, aw: np.ndarray) -> tuple[float, float] | None:
+        """w = max(|w| / max|w|, 1e-200) in place, aw = A w, and w's
+        Collatz-Wielandt interval; None if w is not finite."""
+        np.abs(w, out=w)
+        scale = float(np.max(w))
+        if not math.isfinite(scale):
+            return None
+        np.divide(w, scale, out=w)
+        np.maximum(w, 1e-200, out=w)
+        _matvec_into(op, w, aw, tmp)
+        np.divide(aw, w, out=tmp)
+        return float(np.min(tmp)), float(np.max(tmp))
+
+    # the bounds of ones, the extreme row sums, whatever the start vector
     rowsum = op.sub + op.diag + op.sup
     lo, hi = float(np.min(rowsum)), float(np.max(rowsum))
-    cw_lo = cw_hi = 0.0
-
-    def take(y: np.ndarray) -> None:
-        """v = |y| / max|y|, floored at 1e-200; narrow [lo, hi] by its bounds."""
-        nonlocal lo, hi, cw_lo, cw_hi
-        np.abs(y, out=v)
-        np.divide(v, np.max(v), out=v)
-        np.maximum(v, 1e-200, out=v)
-        _matvec_into(op, v, av, tmp)
-        np.divide(av, v, out=tmp)
-        cw_lo, cw_hi = float(np.min(tmp)), float(np.max(tmp))
-        lo, hi = max(lo, cw_lo), min(hi, cw_hi)
-        if symmetric:
-            lo = max(lo, _dot(v, av) / _dot(v, v))
-
-    take(np.ones(n) if v0 is None else np.asarray(v0, dtype=float))
+    v[:] = 1.0 if v0 is None else v0
+    start = bounds(v, av)
+    if start is None:
+        raise ValueError("v0 must be finite")
+    cw_lo, cw_hi = start
+    lo, hi = max(lo, cw_lo), min(hi, cw_hi)
+    if symmetric:
+        lo = max(lo, _dot(v, av) / _dot(v, v))
     resid = np.inf
     iters = failed = 0
+    solver = None
     while True:
         if lo > ceiling:
             # raised unbound: an exception held in a local of this frame
@@ -286,6 +305,11 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
                 break
         if iters == max_iters:
             raise NoConvergence(max_iters, resid)
+        if solver is None:
+            solver = (ShiftedSPDCyclicSolver(op.diag, op.sup) if symmetric
+                      else ShiftedCyclicSolver(op.sub, op.diag, op.sup))
+            x = np.empty(n)
+            ax = np.empty(n)
         sigma = hi if closed else 0.5 * (lo + hi)
         iters += 1
         # the exception is not kept past its except clause: its traceback
@@ -297,14 +321,29 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
             if sigma >= hi:
                 raise NoConvergence(iters, resid) from exc
             passed = False
+            x_bounds = None
+        else:
+            x_bounds = bounds(x, ax)
         if passed:
             hi = sigma
-            take(x)
-            continue
-        if sigma >= hi:
+        elif sigma >= hi:
             raise NoConvergence(iters, resid)
-        failed += 1
-        lo = sigma
+        else:
+            failed += 1
+            lo = sigma
+        if x_bounds is None:
+            continue
+        x_lo, x_hi = x_bounds
+        if not passed and x_hi < sigma:
+            # the test put sigma at or below the root, the bounds of |x|
+            # put the root below sigma: a passed test read as failed
+            raise NoConvergence(iters, resid)
+        lo, hi = max(lo, x_lo), min(hi, x_hi)
+        if passed or x_hi - x_lo < cw_hi - cw_lo:
+            v, x, av, ax = x, v, ax, av
+            cw_lo, cw_hi = x_lo, x_hi
+            if symmetric:
+                lo = max(lo, _dot(v, av) / _dot(v, v))
 
     return EigenResult(lam=lam, phi=v, residual=resid, iters=iters,
                        failed_tests=failed, cw_width=hi - lo)

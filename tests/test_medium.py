@@ -86,6 +86,46 @@ def test_piecewise_profile_matches_loop(spec, X, h):
         assert np.array_equal(field, ref)
 
 
+def _looped_dimer_profile(spec, child_seed, X):
+    # one rng.uniform call and one running-total addition per block
+    rng = np.random.Generator(np.random.PCG64(child_seed))
+    lengths = []
+    total = 0.0
+    while total < X * (1.0 - 1e-9) or len(lengths) % 2 == 1:
+        mean_len = spec.len1 if len(lengths) % 2 == 0 else spec.len2
+        if spec.length_dist == "uniform":
+            length = mean_len + rng.uniform(-spec.jitter, spec.jitter)
+        else:
+            length = mean_len
+        lengths.append(length)
+        total += length
+    factor = X / total
+    starts, a_vals, c_vals = [], [], []
+    acc = 0.0
+    for j, length in enumerate(lengths):
+        starts.append(acc * factor)
+        a_vals.append(spec.a_plus if j % 2 == 0 else spec.a_minus)
+        c_vals.append(spec.c_plus if j % 2 == 0 else spec.c_minus)
+        acc += length
+    return med._PiecewiseProfile(starts, a_vals, c_vals, spec.eps, X)
+
+
+@pytest.mark.parametrize("spec,X,h", [
+    (dimer_spec(jitter=0.3), 100.0, 0.02),
+    (dimer_spec(jitter=0.9, len1=1.0, len2=3.0), 400.0, 0.05),
+    # a window shorter than one pair, and one a rounding error short of X
+    (dimer_spec(jitter=0.05, len1=0.7, len2=0.4, eps=0.05), 1.0, 0.01),
+    (dimer_spec(len1=0.1, len2=0.1, eps=0.04), 1.0, 0.01),
+], ids=["jitter0.3", "long_window", "short_window", "fixed"])
+def test_batched_dimer_lengths_match_one_draw_at_a_time(monkeypatch, spec, X, h):
+    batched = [med.sample_realization(spec, MASTER, s, X, h) for s in range(4)]
+    monkeypatch.setattr(med, "_build_profile", _looped_dimer_profile)
+    for s, m in enumerate(batched):
+        ref = med.sample_realization(spec, MASTER, s, X, h)
+        assert np.array_equal(m.a, ref.a)
+        assert np.array_equal(m.c, ref.c)
+
+
 def test_plateau_floors_are_exact():
     m = dimer_medium(X=100.0, h=0.01, eps=0.1, jitter=0.3)
     assert m.c.min() >= 0.5

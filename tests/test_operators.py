@@ -195,6 +195,31 @@ def test_ceiling_stops_a_tilted_solve_with_a_certified_bound(p):
     assert (res.lam, res.iters) == (cold.lam, cold.iters)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_a_solve_stopped_before_its_first_test_builds_no_solver(
+        monkeypatch, p):
+    built = []
+
+    def counted(cls):
+        class Counted(cls):
+            def __init__(self, *args):
+                built.append(cls.__name__)
+                super().__init__(*args)
+        return Counted
+
+    for cls in (ShiftedCyclicSolver, tridiag.ShiftedSPDCyclicSolver):
+        monkeypatch.setattr(ops, cls.__name__, counted(cls))
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    op = ops.assemble_tilted(m, p)
+    # the start bracket's lower end is the smallest row sum
+    start_lo = float(np.min(op.sub + op.diag + op.sup))
+    with pytest.raises(ops.AboveCeiling) as stop:
+        ops.principal_eigen(op, tol=1e-10, ceiling=start_lo - 1.0)
+    assert stop.value.iters == 0 and built == []
+    ops.principal_eigen(op, tol=1e-10)
+    assert len(built) == 1
+
+
 def test_failed_ldlt_factorization_is_no_convergence(monkeypatch):
     def refusing(n, d, e, info):
         tridiag_pttrf(n, d, e, info)
@@ -210,9 +235,9 @@ def test_failed_ldlt_factorization_is_no_convergence(monkeypatch):
 
 def test_a_false_failed_test_is_caught_at_once(monkeypatch):
     # a rounding-level sign flip in x would read a passed test as failed and
-    # put lo above the root; the closed bracket then leaves the
-    # Collatz-Wielandt interval of v, and the solve stops there instead of
-    # testing at hi until max_iters
+    # put lo above the root; the Collatz-Wielandt bounds of |x| then lie
+    # below the shift, and the solve stops there instead of testing at hi
+    # until max_iters
     m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
     op = ops.assemble_tilted(m, 1.0)
     top = ops.principal_eigen(op, tol=1e-10).lam
@@ -221,7 +246,7 @@ def test_a_false_failed_test_is_caught_at_once(monkeypatch):
 
     def flipping(self, sigma, b, out):
         x = solve(self, sigma, b, out)
-        if sigma > top + 1e-3 and not flipped:
+        if sigma > top and not flipped:
             flipped.append(sigma)
             x[-1] = -x[-1]
         return x
@@ -230,6 +255,63 @@ def test_a_false_failed_test_is_caught_at_once(monkeypatch):
     with pytest.raises(ops.NoConvergence) as failure:
         ops.principal_eigen(op, tol=1e-10)
     assert flipped and failure.value.max_iters < 100
+
+
+def test_a_failed_test_whose_bounds_lie_below_its_shift_stops_there(
+        monkeypatch):
+    # for v > 0 and sigma above the root, (A x)_i / x_i = sigma - v_i / x_i
+    # < sigma, so a negated x, read as a failed test, has its
+    # Collatz-Wielandt upper bound below the shift: the solve raises at
+    # that very test
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    op = ops.assemble_tilted(m, -0.5)
+    cold = ops.principal_eigen(op, tol=1e-10)
+    solve = ShiftedCyclicSolver.solve
+    shifts = []
+
+    def negating(self, sigma, b, out):
+        x = solve(self, sigma, b, out)
+        shifts.append(sigma)
+        if sigma > cold.lam:
+            np.negative(x, out=x)
+        return x
+
+    monkeypatch.setattr(ShiftedCyclicSolver, "solve", negating)
+    with pytest.raises(ops.NoConvergence) as failure:
+        ops.principal_eigen(op, tol=1e-10)
+    assert shifts[-1] > cold.lam
+    assert all(sigma <= cold.lam for sigma in shifts[:-1])
+    assert failure.value.max_iters == len(shifts)
+
+
+def test_a_failed_test_with_a_non_finite_solution_is_skipped(monkeypatch):
+    # a cold test far below the root can overflow dgtsv to inf or NaN; its
+    # x is then no start for bounds, and the solve goes on from v
+    h = 0.05
+    m = dimer_medium(X=120 * h, h=h, jitter=0.3)
+    op = ops.assemble_tilted(m, 1.0)
+    top = float(np.max(np.linalg.eigvals(_dense(op)).real))
+    solve = ShiftedCyclicSolver.solve
+    poisoned = []
+    finite_rhs = []
+
+    def poisoning(self, sigma, b, out):
+        finite_rhs.append(np.all(np.isfinite(b)))
+        x = solve(self, sigma, b, out)
+        if np.min(x) <= 0.0:
+            poisoned.append(sigma)
+            x[len(x) // 2] = np.nan
+            x[0] = np.inf
+        return x
+
+    monkeypatch.setattr(ShiftedCyclicSolver, "solve", poisoning)
+    res = ops.principal_eigen(op, tol=1e-10)
+    assert poisoned and res.failed_tests == len(poisoned)
+    assert all(finite_rhs) and np.all(np.isfinite(res.phi))
+    assert abs(res.lam - top) <= 1e-10
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="finite"):
+        ops.principal_eigen(op, v0=np.full(m.N, np.nan))
 
 
 @pytest.mark.parametrize("N", [100, 400])
@@ -511,6 +593,7 @@ def test_speed_search_solve_budget(monkeypatch):
     exact, bounds = prov["kp_evals"], prov["kp_bounds"]
     assert len(exact) <= 10
     assert len(exact) + len(bounds) <= 12
+    assert prov["sweeps"] <= 14
     assert not set(exact) & set(bounds)
     # the search's sweeps: a deterministic count that covers every solve,
     # the stopped ones included
