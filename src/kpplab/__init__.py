@@ -19,7 +19,6 @@ from .medium import (
     DimerSpec,
     EmpiricalMeans,
     MediumRealization,
-    PeriodicPiecewiseSpec,
     RandomTrigSpec,
     empirical_means,
     load_realization,

@@ -100,9 +100,8 @@ def cmd_freidlin_mu(args) -> int:
     out = _out_dir(args)
     m = lab._realization(cfg, args.stream)
     lam1 = ops.k_p(m, 0.0, tol=cfg["tol"]).lam
-    lo = args.gamma_min if args.gamma_min is not None else max(
-        lam1 + 2 * fr.default_margin(lam1),
-        float(np.max(m.c)) + fr.default_margin(lam1))
+    lo = (args.gamma_min if args.gamma_min is not None
+          else fr.gamma_floor(m, lam1))
     hi = args.gamma_max if args.gamma_max is not None else 4.0 * lo
     gammas = np.linspace(lo, hi, args.gamma_count)
     curve = fr.mu_curve(m, gammas)

@@ -36,6 +36,13 @@ def default_margin(lambda1: float) -> float:
     return 0.05 * abs(lambda1) + 1e-3
 
 
+def gamma_floor(m: med.MediumRealization, lambda1: float) -> float:
+    """Lower end of the Lyapunov speed search: Lambda_1 + 2*margin, never
+    below the max-c exclusion threshold max c + margin."""
+    margin = default_margin(lambda1)
+    return max(lambda1 + 2.0 * margin, float(np.max(m.c)) + margin)
+
+
 def _lambda1(m: med.MediumRealization, tol: float = 1e-8) -> float:
     return ops.k_p(m, 0.0, tol=tol).lam
 
@@ -184,20 +191,17 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate
     The objective is written over x = gamma - Lambda_1 > 0, in which it is a
     cosh in log x for a homogeneous medium (gamma - Lambda_1 = a mu^2).  One
     ``minimize_log`` search: the bracket starts at x_0 = gamma_0 - Lambda_1,
-    with gamma_0 = Lambda_1 + 2*margin never below the max-c exclusion
-    threshold, and x_0 > 0 is also its floor, so while the objective at x_0
-    is not above the bracket's midpoint the bracket contracts toward x_0;
-    otherwise it grows geometrically.  Brent minimization, seeded with the
+    with gamma_0 from ``gamma_floor``, and x_0 > 0 is also its floor, so
+    while the objective at x_0 is not above the bracket's midpoint the
+    bracket contracts toward x_0; otherwise it grows geometrically.  Brent minimization, seeded with the
     bracket's values, runs over log x to relative tolerance tol in x (about
     8-9 mu evaluations).  The returned provenance records the
     number of mu evaluations and whether the minimizer sat against the
     exclusion boundary.
     """
     lam1 = _lambda1(m)
-    margin = default_margin(lam1)
     ode_step = m.h / 2.0
-    c_max = float(np.max(m.c))
-    gamma_lo = max(lam1 + 2.0 * margin, c_max + margin)
+    gamma_lo = gamma_floor(m, lam1)
     x_lo = gamma_lo - lam1
     cells = _cell_fields(m, ode_step)
 

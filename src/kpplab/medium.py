@@ -1,22 +1,22 @@
 """Seeded realizations of heterogeneous diffusion/reaction coefficient fields.
 
 A realization holds gridded fields a, c on a window [0, X) treated as
-X-periodic (the finite-volume surrogate for the infinite line).  Four ensemble
-kinds are supported:
+X-periodic (the finite-volume surrogate for the infinite line).  Three
+ensemble kinds are supported:
 
-* ``constant``            -- homogeneous a0, c0.
-* ``periodic_piecewise``  -- two plateaus per period, C2-smoothed edges.
-* ``dimer_random``        -- alternating random-length blocks of two phases
-                             (the classic two-phase patchy landscape),
-                             C2-smoothed edges.
-* ``random_trig``         -- a positive floor plus random-phase cosine modes
-                             snapped to the window so the field is exactly
-                             X-periodic.
+* ``constant``      -- homogeneous a0, c0.
+* ``dimer_random``  -- alternating blocks of two phases (the classic
+                       two-phase patchy landscape), C2-smoothed edges; with
+                       fixed block lengths the field is periodic.
+* ``random_trig``   -- a positive floor plus random-phase cosine modes
+                       snapped to the window so the field is exactly
+                       X-periodic.
 
-Piecewise kinds are smoothed by convolving each plateau jump with a C1 bump
-(quartic kernel) of width eps, so the fields are C2.  Fields of the
-piecewise kinds are evaluated analytically at arbitrary points; this makes
-rescaling exact at shared sample points and keeps plateau floors exact.
+Plateau fields (constant media are a single block) are smoothed by
+convolving each plateau jump with a C1 bump (quartic kernel) of width eps,
+so the fields are C2.  They are evaluated analytically at arbitrary points;
+this makes rescaling exact at shared sample points and keeps plateau floors
+exact.
 """
 
 from __future__ import annotations
@@ -56,32 +56,6 @@ class ConstantSpec:
     @property
     def corr_length(self) -> float:
         return 1.0
-
-
-@dataclass(frozen=True)
-class PeriodicPiecewiseSpec:
-    """Deterministic two-plateau periodic medium with smoothing width eps.
-
-    Each period of length `period` carries (a_plus, c_plus) on the first half
-    and (a_minus, c_minus) on the second half.
-    """
-
-    period: float
-    a_plus: float
-    a_minus: float
-    c_plus: float
-    c_minus: float
-    eps: float
-    kind: str = field(default="periodic_piecewise", init=False)
-
-    def __post_init__(self):
-        for name in ("period", "a_plus", "a_minus", "c_plus", "c_minus", "eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def corr_length(self) -> float:
-        return self.period
 
 
 @dataclass(frozen=True)
@@ -161,11 +135,10 @@ class RandomTrigSpec:
         return 2.0 * np.pi / min(self.base_freqs)
 
 
-EnsembleSpec = ConstantSpec | PeriodicPiecewiseSpec | DimerSpec | RandomTrigSpec
+EnsembleSpec = ConstantSpec | DimerSpec | RandomTrigSpec
 
 _SPEC_KINDS = {
     "constant": ConstantSpec,
-    "periodic_piecewise": PeriodicPiecewiseSpec,
     "dimer_random": DimerSpec,
     "random_trig": RandomTrigSpec,
 }
@@ -197,17 +170,6 @@ def spec_from_dict(d: dict) -> EnsembleSpec:
 def _smooth_step(u: np.ndarray) -> np.ndarray:
     # integral of the quartic bump (15/16)(1-u^2)^2; maps [-1,1] -> [0,1], C2
     return 0.5 + (15.0 / 16.0) * (u - 2.0 * u**3 / 3.0 + u**5 / 5.0)
-
-
-class _ConstantProfile:
-    def __init__(self, a0: float, c0: float):
-        self.a0, self.c0 = a0, c0
-
-    def a(self, x):
-        return np.full_like(x, self.a0, dtype=float)
-
-    def c(self, x):
-        return np.full_like(x, self.c0, dtype=float)
 
 
 class _PiecewiseProfile:
@@ -297,18 +259,8 @@ def _build_profile(spec: EnsembleSpec, child_seed: int, X: float):
     """Continuous X-periodic profile; a pure function of (spec, seed, X)."""
     rng = np.random.Generator(np.random.PCG64(child_seed))
     if isinstance(spec, ConstantSpec):
-        return _ConstantProfile(spec.a0, spec.c0)
-    if isinstance(spec, PeriodicPiecewiseSpec):
-        n_per = X / spec.period
-        if abs(n_per - round(n_per)) > 1e-9 or round(n_per) < 1:
-            raise ValueError("window X must be an integer number of periods")
-        n_per = int(round(n_per))
-        starts, a_vals, c_vals = [], [], []
-        for j in range(n_per):
-            starts += [j * spec.period, j * spec.period + spec.period / 2.0]
-            a_vals += [spec.a_plus, spec.a_minus]
-            c_vals += [spec.c_plus, spec.c_minus]
-        return _PiecewiseProfile(starts, a_vals, c_vals, spec.eps, X)
+        # one block: no jumps, so no smoothing zones
+        return _PiecewiseProfile([0.0], [spec.a0], [spec.c0], 0.0, X)
     if isinstance(spec, DimerSpec):
         # draw alternating block lengths until the window is covered by an
         # even count, then tile the circle exactly (lengths scaled by X/total,
@@ -431,11 +383,11 @@ def sample_realization(spec: EnsembleSpec, master_seed: int, stream_id: int,
     """Sample one realization; a deterministic function of all its arguments.
 
     The child seed is hash64(master_seed, stream_id).  X/h must be integral
-    with at least 8 nodes, and for the piecewise kinds the smoothing width
-    must satisfy eps >= 4h so the transition layers are resolved.
+    with at least 8 nodes, and for the dimer kind the smoothing width must
+    satisfy eps >= 4h so the transition layers are resolved.
     """
     _grid_nodes(X, h)
-    if isinstance(spec, (PeriodicPiecewiseSpec, DimerSpec)) and spec.eps < 4.0 * h:
+    if isinstance(spec, DimerSpec) and spec.eps < 4.0 * h:
         raise ValueError(
             f"smoothing width eps={spec.eps:g} < 4h={4 * h:g} is unresolved")
     child_seed = hash64(master_seed, stream_id)

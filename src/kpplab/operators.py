@@ -199,8 +199,9 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     x = (sigma I - A)^{-1} v:
 
     * p = 0, where sub[i+1] == sup[i] bit for bit: the LDL^T factorization
-      of ShiftedSPDCyclicSolver (one pttrf, one two-column pttrs) exists
-      exactly when sigma > lam1, so NotPositiveDefinite fails the test.
+      of ShiftedSPDCyclicSolver (factor, then solve_factored on a copy of
+      v) exists exactly when sigma > lam1, so NotPositiveDefinite fails the
+      test.
     * p != 0: sigma I - A is an irreducible Z-matrix, and x from one dgtsv
       call (ShiftedCyclicSolver) is entrywise positive exactly when it is a
       nonsingular M-matrix, that is when sigma > lam1 (ibid., ch. 6).  A
@@ -315,8 +316,14 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         # the exception is not kept past its except clause: its traceback
         # holds this frame, and the cycle would keep the buffers alive
         try:
-            solver.solve(sigma, v, out=x)
-            passed = symmetric or np.min(x) > 0.0
+            if symmetric:
+                solver.factor(sigma)
+                np.copyto(x, v)
+                solver.solve_factored(x)
+                passed = True
+            else:
+                solver.solve(sigma, v, out=x)
+                passed = np.min(x) > 0.0
         except np.linalg.LinAlgError as exc:
             if sigma >= hi:
                 raise NoConvergence(iters, resid) from exc

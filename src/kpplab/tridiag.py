@@ -1,7 +1,7 @@
 """Tridiagonal linear solvers: LU (LAPACK gttrf/gttrs), cyclic (factored
 once, or one gtsv per shifted solve), and LDL^T for symmetric positive
-definite matrices (pttrf/pttrs): plain, or cyclic and shifted, either
-factored per solve or once for many solves.
+definite matrices (pttrf/pttrs): plain, or cyclic and shifted, factored at
+one shift for any number of solves.
 
 gtsv, gttrf, gttrs, pttrf and pttrs are called through ctypes on the
 addresses that scipy.linalg.cython_lapack exports.  A ctypes foreign call
@@ -282,7 +282,8 @@ class ShiftedCyclicSolver:
 
 class ShiftedSPDCyclicSolver:
     """LDL^T solves of (sigma I - A) x = b for a fixed symmetric cyclic
-    tridiagonal A, any sigma, each certifying sigma I - A positive definite.
+    tridiagonal A, any sigma, each factorization certifying sigma I - A
+    positive definite.
 
     diag holds A's n diagonal entries and off[i] couples nodes i and i + 1
     mod n, so off[n-1] is the corner entry.  The corner split of
@@ -291,15 +292,15 @@ class ShiftedSPDCyclicSolver:
     whenever M is, and is factored by pttrf.  By Sherman-Morrison M is then
     positive definite exactly when 1 + z.T^{-1} w > 0.  Either test failing,
     or M[0, 0] <= 0, raises NotPositiveDefinite: sigma I - A is positive
-    definite, that is sigma lies above A's top eigenvalue, exactly when a
-    factorization returns.
+    definite, that is sigma lies above A's top eigenvalue, exactly when
+    factor(sigma) returns.
 
-    solve(sigma, b, out) serves a caller whose shift moves between solves
-    (the symmetric Perron bisection): one pttrf and one pttrs on the two
-    right-hand sides [b, w].  factor(sigma) and then solve_factored(b) serve
-    one that solves many times at one shift (the Newton-CG Hessian).  The
-    LAPACK buffers and argument lists are built here, once, and every call
-    releases the GIL.  A solver serves one thread at a time.
+    factor(sigma) makes one pttrf and one pttrs (for T^{-1} w), and each
+    solve_factored(b) after it one pttrs, in place: the symmetric Perron
+    bisection factors at every shift and solves once, the Newton-CG Hessian
+    solves many times at one shift.  The LAPACK buffers and argument lists
+    are built here, once, and every call releases the GIL.  A solver serves
+    one thread at a time.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
@@ -311,33 +312,32 @@ class ShiftedSPDCyclicSolver:
         self._diag, self._off = diag, off
         self._d = np.empty(n)
         self._e = np.empty(n - 1)
-        # the right-hand sides [b, w] as rows: LAPACK's n x 2 column-major b;
-        # row 1 holds q = T^{-1} w once factored
-        self._rhs = np.empty((2, n))
-        self._n, self._info = ctypes.c_int(n), ctypes.c_int(0)
-        self._one, self._two = ctypes.c_int(1), ctypes.c_int(2)
+        self._q = np.empty(n)  # w, then q = T^{-1} w once factored
+        self._scratch = np.empty(n)  # of the correction step
+        self._n, self._one, self._info = (ctypes.c_int(n), ctypes.c_int(1),
+                                          ctypes.c_int(0))
         self._zn = self._denom = 0.0
         addr = ctypes.addressof
         d_ptr, e_ptr = _address(self._d), _address(self._e)
         self._factor_args = (addr(self._n), d_ptr, e_ptr, addr(self._info))
-        # ldb = n
-        self._solve2_args = (addr(self._n), addr(self._two), d_ptr, e_ptr,
-                             _address(self._rhs), addr(self._n),
-                             addr(self._info))
-        self._solve1_head = (addr(self._n), addr(self._one), d_ptr, e_ptr)
-        self._solve1_tail = (addr(self._n), addr(self._info))
-        self._q_args = (*self._solve1_head, _address(self._rhs[1]),
-                        *self._solve1_tail)
+        self._solve_head = (addr(self._n), addr(self._one), d_ptr, e_ptr)
+        self._solve_tail = (addr(self._n), addr(self._info))  # ldb = n, info
 
-    def _split_and_factor(self, sigma: float) -> None:
-        """T of sigma I - A in the factor buffers, factored; w in rhs[1]."""
+    def _pttrs(self, b: np.ndarray) -> None:
+        _dpttrs(*self._solve_head, _address(b), *self._solve_tail)
+        if self._info.value != 0:
+            raise np.linalg.LinAlgError(f"pttrs failed (info={self._info.value})")
+
+    def factor(self, sigma: float) -> None:
+        """Factor sigma I - A for solve_factored; NotPositiveDefinite unless
+        sigma lies above A's top eigenvalue."""
         d = self._d
         np.subtract(sigma, self._diag, out=d)
         np.negative(self._off[:-1], out=self._e)
         if not d[0] > 0.0:
             raise NotPositiveDefinite("cyclic matrix has diag[0] <= 0")
         corner = -self._off[-1]
-        self._zn = _split_corners(corner, corner, d, self._rhs[1])
+        self._zn = _split_corners(corner, corner, d, self._q)
         _dpttrf(*self._factor_args)
         info = self._info.value
         if info > 0:
@@ -345,9 +345,8 @@ class ShiftedSPDCyclicSolver:
                 f"pttrf failed (info={info}): matrix not positive definite")
         if info != 0:
             raise np.linalg.LinAlgError(f"pttrf failed (info={info})")
-
-    def _check_denominator(self) -> None:
-        q = self._rhs[1]
+        q = self._q
+        self._pttrs(q)
         denom = 1.0 + q[0] + self._zn * q[-1]
         if not denom > 0.0:
             raise NotPositiveDefinite(
@@ -355,37 +354,15 @@ class ShiftedSPDCyclicSolver:
                 "matrix not positive definite")
         self._denom = denom
 
-    def _pttrs(self, args) -> None:
-        _dpttrs(*args)
-        if self._info.value != 0:
-            raise np.linalg.LinAlgError(f"pttrs failed (info={self._info.value})")
-
-    def solve(self, sigma: float, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Factor sigma I - A, write its solution of b into out (which may
-        be b) and return it."""
-        self._split_and_factor(sigma)
-        self._rhs[0] = b
-        self._pttrs(self._solve2_args)
-        self._check_denominator()
-        return _corrected(self._rhs[0], self._rhs[1], self._zn, self._denom,
-                          out)
-
-    def factor(self, sigma: float) -> None:
-        """Factor sigma I - A for solve_factored."""
-        self._split_and_factor(sigma)
-        self._pttrs(self._q_args)
-        self._check_denominator()
-
     def solve_factored(self, b: np.ndarray) -> None:
         """Overwrite b with (sigma I - A)^{-1} b at the last factored sigma.
 
         b must be a contiguous float64 vector of length n: pttrs solves in
-        its storage.  rhs[0] is the scratch of the correction step.
+        its storage.
         """
         if b.dtype != np.float64 or b.shape != self._d.shape:
             raise ValueError("b must be a float64 vector of the matrix's size")
-        self._pttrs((*self._solve1_head, _address(b), *self._solve1_tail))
+        self._pttrs(b)
         zy = b[0] + self._zn * b[-1]
-        scratch = self._rhs[0]
-        np.multiply(self._rhs[1], zy / self._denom, out=scratch)
-        np.subtract(b, scratch, out=b)
+        np.multiply(self._q, zy / self._denom, out=self._scratch)
+        np.subtract(b, self._scratch, out=b)

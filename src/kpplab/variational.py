@@ -62,8 +62,8 @@ class ThetaResult:
     gap_vs_direct: float  # k0_value - kp_direct
     solves: int  # eigen solves made, the direct k_p included
     stop: str  # "converged", "stagnated" or "max_iters"
-    # the start of the descent that gave the result: "homogenized" (the
-    # default), "init" (the caller's) or "closed_form" (the restart)
+    # the start of the descent that gave the result: "homogenized" or
+    # "closed_form" (the restart)
     start: str
 
 
@@ -98,26 +98,25 @@ def _gradient(m, p, theta, phi):
     return u, ub, grad - np.mean(grad)
 
 
-def minimize_theta(m: med.MediumRealization, p: float,
-                   init: ThetaField | None = None, tol: float = 1e-8,
+def minimize_theta(m: med.MediumRealization, p: float, tol: float = 1e-8,
                    max_iters: int = 600) -> ThetaResult:
     """Projected Newton-CG descent on theta for the variational objective.
 
     The objective is convex in theta (a monotone convex eigenvalue composed
     with the pointwise convex map theta -> a (p+theta)^2), so a descent that
     reaches a zero gradient has found the global infimum.  The descent
-    starts from ``init``, by default the homogenized drift, and runs
-    ``_descend``.  On a localized medium it can crawl: the top eigenvalue
-    is a near-degenerate maximum over localized wells, and a Newton step
-    lowers one well at a time.  So a descent that stops anything but
-    "converged" is restarted once from ``theta_closed_form``, the minimizer
-    built from the +p and -p tilted eigenfunctions, with the steps left of
-    max_iters; of the two results the one with the lower eigenvalue is
-    returned, and ``start`` names where its descent began.  A closed form
-    that raises DegenerateTilt keeps the first result.  ``iters`` counts
-    the accepted Newton steps of both descents and ``solves`` every eigen
-    solve made, the closed form's three and the direct k_p included; after
-    a restart the closed form's cold +p solve is the direct k_p.
+    starts from the homogenized drift and runs ``_descend``.  On a localized
+    medium it can crawl: the top eigenvalue is a near-degenerate maximum
+    over localized wells, and a Newton step lowers one well at a time.  So
+    a descent that stops anything but "converged" is restarted once from
+    ``theta_closed_form``, the minimizer built from the +p and -p tilted
+    eigenfunctions, with the steps left of max_iters; of the two results
+    the one with the lower eigenvalue is returned, and ``start`` names
+    where its descent began.  A closed form that raises DegenerateTilt
+    keeps the first result.  ``iters`` counts the accepted Newton steps of
+    both descents and ``solves`` every eigen solve made, the closed form's
+    three and the direct k_p included; after a restart the closed form's
+    cold +p solve is the direct k_p.
 
     Every eigenvalue the descent reaches is certified (``principal_eigen``
     brackets the top eigenvalue), and the Hessian's LDL^T factorization of
@@ -125,10 +124,9 @@ def minimize_theta(m: med.MediumRealization, p: float,
     factorization that fails all the same raises NoConvergence.
     """
     eig_tol = min(1e-10, tol)
-    start = "homogenized" if init is None else "init"
-    theta = (init if init is not None else homogenized_theta(m, p)).theta
+    start = "homogenized"
     theta, lam, grad_norm, iters, solves, stop = _descend(
-        m, p, theta, tol, max_iters, eig_tol)
+        m, p, homogenized_theta(m, p).theta, tol, max_iters, eig_tol)
     kp = None
     if stop != "converged":
         try:
@@ -158,21 +156,18 @@ def _descend(m, p, theta, tol, max_iters, eig_tol):
 
     Each Newton step solves the Newton system on the mean-zero subspace by
     preconditioned CG (``_newton_cg``) and takes an Armijo line search on
-    the full step, first trying min(1, 4 x the last accepted step); if the
-    Newton step finds no decrease, the first CG iterate (the preconditioned
-    gradient step) is tried instead.  Stops when the projected-gradient
-    sup-norm drops below tol ("converged"); "stagnated" when no step
-    decreases the objective, when three steps in a row decrease it by less
-    than the eigenvalue resolution, or when the best gradient norm has not
-    halved over the last 20 accepted steps; or after max_iters steps
-    ("max_iters").  Returns (theta, lam, grad_norm, iters, solves, stop).
+    the full step, first trying min(1, 4 x the last accepted step).  Stops
+    when the projected-gradient sup-norm drops below tol ("converged");
+    "stagnated" when the line search finds no decrease along the Newton
+    direction, or when the best gradient norm has not halved over the last
+    20 accepted steps; or after max_iters steps ("max_iters").  Returns
+    (theta, lam, grad_norm, iters, solves, stop).
     """
     theta = theta - np.mean(theta)
     lam, phi, op = _eigenpair(m, p, theta, eig_tol)
     solves = 1
     floor = 1e-12 * max(abs(lam), 1.0)  # eigenvalue resolution
     step = 1.0
-    stagnant = 0
     best = deque(maxlen=21)  # best gradient norm so far, at each iterate
     grad_norm = np.inf
     stop = "max_iters"
@@ -187,24 +182,20 @@ def _descend(m, p, theta, tol, max_iters, eig_tol):
             stop = "converged"
             break
         best.append(min(grad_norm, best[-1]) if best else grad_norm)
-        if stagnant >= 3 or (len(best) == 21 and best[-1] > 0.5 * best[0]):
+        if len(best) == 21 and best[-1] > 0.5 * best[0]:
             stop = "stagnated"
             break
         if iters == max_iters:
             break
-        for direction in _newton_cg(resolvent, u, ub, 2.0 * m.a * u * u, grad):
-            accepted, n = _line_search(m, p, theta, lam, phi, direction,
-                                       ops._dot(grad, direction),
-                                       min(1.0, 4.0 * step), eig_tol, floor)
-            solves += n
-            if accepted is not None:
-                break
+        direction = _newton_cg(resolvent, u, ub, 2.0 * m.a * u * u, grad)
+        accepted, n = _line_search(m, p, theta, lam, phi, direction,
+                                   ops._dot(grad, direction),
+                                   min(1.0, 4.0 * step), eig_tol, floor)
+        solves += n
         if accepted is None:
             stop = "stagnated"
             break
-        lam_before = lam
         step, theta, lam, phi, op = accepted
-        stagnant = stagnant + 1 if lam_before - lam < floor else 0
     return theta, lam, grad_norm, iters, solves, stop
 
 
@@ -222,7 +213,7 @@ def _shifted_factor(op, lam):
 
 
 def _newton_cg(resolvent, u, ub, curv, grad):
-    """Newton direction, then the first CG iterate if it differs.
+    """Newton direction of the top eigenvalue at theta.
 
     The Hessian of the simple top eigenvalue is diag(curv) + 2 (u b) R (u b)
     with curv = 2 a u^2 and R = (lam - A)^+ the reduced resolvent on the
@@ -232,9 +223,8 @@ def _newton_cg(resolvent, u, ub, curv, grad):
     nonsingular along u; every other eigenvalue of A lies below lam, so it
     barely changes R there).  Projected PCG on the mean-zero
     subspace, preconditioned by curv (floored at 1e-4 of its max) projected
-    to zero mean, runs until the preconditioned residual norm falls by 10x.
-    Its first iterate is the preconditioned gradient step, scaled to the
-    minimum of the quadratic model along it.
+    to zero mean, runs until the preconditioned residual norm falls by 10x,
+    or until a search direction has no positive curvature.
     """
     inv_pc = 1.0 / np.maximum(curv, 1e-4 * np.max(curv))
     inv_pc_sum = float(np.sum(inv_pc))
@@ -256,7 +246,6 @@ def _newton_cg(resolvent, u, ub, curv, grad):
     rz_stop = 1e-2 * rz
     d = z
     x = np.zeros_like(grad)
-    first = None
     for _ in range(200):
         hd = hess(d)
         dhd = ops._dot(d, hd)
@@ -264,8 +253,6 @@ def _newton_cg(resolvent, u, ub, curv, grad):
             break
         alpha = rz / dhd
         x = x + alpha * d
-        if first is None:
-            first = x
         r = r - alpha * hd
         z = precond(r)
         rz_new = ops._dot(r, z)
@@ -273,9 +260,7 @@ def _newton_cg(resolvent, u, ub, curv, grad):
             break
         d = z + (rz_new / rz) * d
         rz = rz_new
-    if first is None:
-        return (z,)
-    return (x,) if first is x else (x, first)
+    return x
 
 
 def _line_search(m, p, theta, lam, phi, direction, slope, t, eig_tol, floor):

@@ -68,9 +68,8 @@ def _looped_correction(prof, x, jumps):
 
 
 @pytest.mark.parametrize("spec,X,h", [
-    # smoothing zones of neighbouring jumps overlap: eps > period / 2
-    (med.PeriodicPiecewiseSpec(period=1.0, a_plus=2.0, a_minus=1.0,
-                               c_plus=1.5, c_minus=0.5, eps=0.7), 6.0, 0.01),
+    # smoothing zones of neighbouring jumps overlap: eps > len1 = len2
+    (dimer_spec(a_plus=2.0, len1=0.5, len2=0.5, eps=0.7), 6.0, 0.01),
     (dimer_spec(jitter=0.3), 100.0, 0.02),
     (dimer_spec(a_plus=2.0, eps=0.1), 60.0, 0.005),
 ], ids=["overlapping", "dimer", "dimer_varying_a"])

@@ -65,8 +65,7 @@ def test_kp_closed_form_constants(a0, c0, p):
 def test_kp_matches_fine_grid_reference():
     # 2-periodic smoothed c in {0.5, 1.5}: coarse eigenvalue against an h/8
     # reference, 4 significant digits
-    spec = med.PeriodicPiecewiseSpec(period=2.0, a_plus=1.0, a_minus=1.0,
-                                     c_plus=1.5, c_minus=0.5, eps=0.4)
+    spec = dimer_spec(len1=1.0, len2=1.0, eps=0.4)
     coarse = med.sample_realization(spec, MASTER, 0, 8.0, 0.04)
     fine = med.sample_realization(spec, MASTER, 0, 8.0, 0.005)
     lam_c = ops.k_p(coarse, 0.0, tol=1e-11).lam
@@ -160,10 +159,12 @@ def test_symmetric_sweep_makes_one_pttrf_call_and_no_gtsv(monkeypatch):
     assert np.array_equal(op.sub[1:], op.sup[:-1]) and op.sub[0] == op.sup[-1]
     res = ops.principal_eigen(op, tol=1e-10)
     assert calls["dgtsv"] == calls["dgttrf"] == 0
-    # each passed test makes one of each call; a failed one stops at the
-    # first check it fails
+    # each factorization that pttrf completes makes one pttrs for T^{-1} w,
+    # and each passed test one more for its solve; a failed test stops at
+    # the first check it fails
     passed = res.iters - res.failed_tests
-    assert passed <= calls["dpttrs"] <= calls["dpttrf"] <= res.iters
+    assert calls["dpttrf"] <= res.iters
+    assert 2 * passed <= calls["dpttrs"] <= calls["dpttrf"] + passed
 
 
 def test_ceiling_stops_a_symmetric_solve_with_a_certified_bound():

@@ -177,16 +177,18 @@ def test_spd_cyclic_solve_matches_dense(n):
     _factored(diag, off).solve_factored(x)  # in place
     ref = np.linalg.solve(_dense_cyclic(diag, off), b)
     assert np.allclose(x, ref, rtol=1e-12, atol=1e-13 * np.max(np.abs(ref)))
-    # the shifted solve factors afresh on every call, in the same buffers
+    # a shifted solver factors afresh on every factor call, in the same
+    # buffers
     sigma = 0.5
     a_diag, a_off = sigma - diag, -off  # sigma I - A is the matrix above
     solver = ShiftedSPDCyclicSolver(a_diag, a_off)
-    out = np.empty(n)
     for _ in range(2):
-        assert solver.solve(sigma, b, out) is out
-        assert np.allclose(out, ref, rtol=1e-12,
+        solver.factor(sigma)
+        x = b.copy()
+        solver.solve_factored(x)
+        assert np.allclose(x, ref, rtol=1e-12,
                            atol=1e-13 * np.max(np.abs(ref)))
-    # and leaves its factorization for solve_factored
+    # and keeps its factorization for further solves
     x = b.copy()
     solver.solve_factored(x)
     assert np.allclose(x, ref, rtol=1e-12, atol=1e-13 * np.max(np.abs(ref)))
@@ -206,7 +208,9 @@ def test_spd_cyclic_solve_matches_pivoted_lu():
     b = rng.random(n) + 0.1
     for sigma in (lam_max + 1e-2, lam_max + 0.5):
         ref = ref_solver.solve(sigma, b, np.empty(n))
-        got = solver.solve(sigma, b, np.empty(n))
+        solver.factor(sigma)
+        got = b.copy()
+        solver.solve_factored(got)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -230,11 +234,12 @@ def test_spd_cyclic_rejects_a_shift_below_the_top_eigenvalue():
     # just above the top eigenvalue the factorization exists
     _laplacian_shift(4, 1e-8)
     assert issubclass(NotPositiveDefinite, np.linalg.LinAlgError)
-    # the shifted solve certifies its shift the same way
+    # a solver whose factorization failed factors again at another shift
     solver = ShiftedSPDCyclicSolver(np.full(1000, -2.0), np.full(1000, 1.0))
     with pytest.raises(NotPositiveDefinite):
-        solver.solve(-1e-4, np.ones(1000), np.empty(1000))
-    solver.solve(1e-8, np.ones(1000), np.empty(1000))
+        solver.factor(-1e-4)
+    solver.factor(1e-8)
+    solver.solve_factored(np.ones(1000))
 
 
 def test_spd_cyclic_factorization_and_solve_release_the_gil():
@@ -243,5 +248,9 @@ def test_spd_cyclic_factorization_and_solve_release_the_gil():
     solver = _factored(diag, off)
     b = np.ones(diag.shape[0])
     assert _stall_ratio(lambda: solver.solve_factored(b)) < 0.15
-    out = np.empty_like(b)
-    assert _stall_ratio(lambda: solver.solve(0.0, b, out)) < 0.15
+
+    def factor_and_solve():
+        solver.factor(0.0)
+        solver.solve_factored(b)
+
+    assert _stall_ratio(factor_and_solve) < 0.15

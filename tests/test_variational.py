@@ -9,12 +9,12 @@ from kpplab.tridiag import ShiftedSPDCyclicSolver
 from conftest import MASTER, constant_medium, dimer_medium, dimer_spec, trig_spec
 
 
-def _assert_top_eigenvalue(m, p, res):
-    """(k0_value + delta) I - A factors as LDL^T at the returned theta, so
-    k0_value is the top eigenvalue there to within the descent's delta."""
-    op = ops.assemble_symmetric(m, m.c + m.a * (p + res.theta.theta) ** 2)
-    delta = 1e-8 * max(abs(res.k0_value), 1.0)
-    ShiftedSPDCyclicSolver(op.diag, op.sup).factor(res.k0_value + delta)
+def _assert_top_eigenvalue(m, p, theta, lam):
+    """(lam + delta) I - A factors as LDL^T at theta, so lam is the top
+    eigenvalue there to within the descent's delta."""
+    op = ops.assemble_symmetric(m, m.c + m.a * (p + theta) ** 2)
+    delta = 1e-8 * max(abs(lam), 1.0)
+    ShiftedSPDCyclicSolver(op.diag, op.sup).factor(lam + delta)
 
 
 def test_zero_theta_constant_potential():
@@ -90,8 +90,8 @@ def test_closed_form_requires_nondegenerate_tilt():
 
 def test_minimize_theta_homogeneous():
     m = constant_medium(X=50.0, h=0.02)
-    res = var.minimize_theta(m, 1.0, init=var.zero_theta(m), max_iters=50)
-    _assert_top_eigenvalue(m, 1.0, res)
+    res = var.minimize_theta(m, 1.0, max_iters=50)
+    _assert_top_eigenvalue(m, 1.0, res.theta.theta, res.k0_value)
     assert abs(res.k0_value - 2.0) <= 1e-9
     assert abs(res.gap_vs_direct) <= 1e-9
     assert res.theta.sup_norm <= 1e-9
@@ -103,7 +103,7 @@ def test_minimize_theta_reaches_attainment_band():
     p = 1.5 * est.optimizer
     kp = ops.k_p(m, p, tol=1e-10).lam
     res = var.minimize_theta(m, p, max_iters=300)
-    _assert_top_eigenvalue(m, p, res)
+    _assert_top_eigenvalue(m, p, res.theta.theta, res.k0_value)
     rel = res.gap_vs_direct / kp
     assert -1e-6 <= rel <= 1e-3
 
@@ -126,7 +126,7 @@ def test_newton_descent_budget(monkeypatch):
     assert res.iters < 300
     assert res.stop == "converged"
     assert abs(res.gap_vs_direct / kp) <= 1e-6
-    _assert_top_eigenvalue(m, p, res)
+    _assert_top_eigenvalue(m, p, res.theta.theta, res.k0_value)
 
 
 def test_crawling_descent_restarts_from_the_closed_form():
@@ -141,7 +141,7 @@ def test_crawling_descent_restarts_from_the_closed_form():
     assert abs(res.gap_vs_direct) / res.kp_direct <= 1e-4
     cold = var.k0_with_theta(m, p, res.theta, tol=1e-10)
     assert abs(res.k0_value - cold) <= 1e-9 * cold
-    _assert_top_eigenvalue(m, p, res)
+    _assert_top_eigenvalue(m, p, res.theta.theta, res.k0_value)
 
 
 def test_restart_solves_k_p_at_plus_p_once(monkeypatch):
@@ -203,11 +203,34 @@ def test_minimize_from_closed_form_terminates_quickly():
     m = dimer_medium(X=100.0, h=0.005, eps=0.1, jitter=0.3)
     p = 1.5
     th = var.theta_closed_form(m, p, tol=1e-10)
-    res = var.minimize_theta(m, p, init=th, max_iters=60)
-    _assert_top_eigenvalue(m, p, res)
+    theta, lam, _, iters, _, _ = var._descend(m, p, th.theta, 1e-8, 60, 1e-10)
+    _assert_top_eigenvalue(m, p, theta, lam)
     kp = ops.k_p(m, p, tol=1e-10).lam
-    assert abs(res.gap_vs_direct) <= 1e-3 * kp
-    assert res.iters <= 10  # already essentially stationary
+    assert abs(lam - kp) <= 1e-3 * kp
+    assert iters <= 10  # already essentially stationary
+
+
+def test_newton_step_without_decrease_restarts_from_the_closed_form(
+        monkeypatch):
+    # a Newton step whose line search finds no decrease stops the descent
+    # "stagnated", and the restart from the closed form converges
+    m = dimer_medium(X=50.0, h=0.01, eps=0.1, jitter=0.3)
+    p = 1.5
+    searches = []
+    line_search = var._line_search
+
+    def refusing_once(*args):
+        searches.append(1)
+        if len(searches) == 1:
+            return None, 0
+        return line_search(*args)
+
+    monkeypatch.setattr(var, "_line_search", refusing_once)
+    res = var.minimize_theta(m, p, max_iters=300)
+    assert res.stop == "converged"
+    assert res.start == "closed_form"
+    assert abs(res.gap_vs_direct) / res.kp_direct <= 1e-3
+    _assert_top_eigenvalue(m, p, res.theta.theta, res.k0_value)
 
 
 def test_objective_convex_along_segments(rng):
@@ -266,7 +289,7 @@ def test_strictness_witness_for_nonconstant_c():
         est = ops.speed_from_kp(m, 0.5, 4.0, tol=1e-3, eig_tol=1e-7)
         p = est.optimizer
         res = var.minimize_theta(m, p, max_iters=150)
-        _assert_top_eigenvalue(m, p, res)
+        _assert_top_eigenvalue(m, p, res.theta.theta, res.k0_value)
         slack = 3.0 * float(np.std(m.c)) / np.sqrt(m.X / spec.corr_length)
         margins.append(res.k0_value - (em.mean_c + p * p) - slack)
         kp = res.k0_value - res.gap_vs_direct  # the direct tilted solve
