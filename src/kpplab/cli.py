@@ -104,7 +104,7 @@ def cmd_freidlin_mu(args) -> int:
           else fr.gamma_floor(m, lam1))
     hi = args.gamma_max if args.gamma_max is not None else 4.0 * lo
     gammas = np.linspace(lo, hi, args.gamma_count)
-    curve = fr.mu_curve(m, gammas)
+    curve = fr.mu_curve(m, gammas, lambda1_estimate=lam1)
     curve.to_csv(out / "mu_curve.csv")
     _write_dat(out / "mu_curve.dat",
                np.column_stack([curve.gamma, curve.mu]), "gamma  mu")

@@ -173,8 +173,10 @@ class MuCurve:
         return path
 
 
-def mu_curve(m: med.MediumRealization, gammas) -> MuCurve:
-    lam1 = _lambda1(m)
+def mu_curve(m: med.MediumRealization, gammas,
+             lambda1_estimate: float | None = None) -> MuCurve:
+    """mu(gamma) on the given grid; Lambda_1 is solved unless it is given."""
+    lam1 = _lambda1(m) if lambda1_estimate is None else lambda1_estimate
     ode_step = m.h / 2.0
     cells = _cell_fields(m, ode_step)
     gammas = np.asarray(sorted(float(g) for g in gammas))

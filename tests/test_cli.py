@@ -66,6 +66,20 @@ def test_freidlin_commands(tmp_path):
     assert abs(data["value"] - 2.0) < 1e-3
 
 
+def test_freidlin_mu_solves_lambda1_once(tmp_path, monkeypatch):
+    calls = []
+    k_p = ops.k_p
+
+    def counting(m, p, *args, **kwargs):
+        calls.append(p)
+        return k_p(m, p, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "k_p", counting)
+    cfg = write_config(tmp_path)
+    assert run(tmp_path, "freidlin", "mu", "--gamma-count", "5", cfg=cfg) == 0
+    assert calls == [0.0]
+
+
 def test_variational_minimize(tmp_path, capsys):
     cfg = write_config(tmp_path, X=50.0)
     assert run(tmp_path, "variational", "minimize", "--p", "1.0",

@@ -64,7 +64,10 @@ def test_solution_stays_in_unit_interval():
     # dt/h^2 = 1000: one step carries the tail thousands of nodes ahead, and
     # a block that grew by a fixed pad per step would hold the front back
     (constant_medium(c0=4.0, X=200.0, h=0.01), 0.1, 30.0),
-], ids=["dimer", "wide_step"])
+    # the held bulk behind the front covers most of the window for most of
+    # the run, so its coupling to the moving block is exercised throughout
+    (dimer_medium(X=420.0, h=0.05, jitter=0.3), 0.05, 150.0),
+], ids=["dimer", "wide_step", "dimer_long"])
 def test_block_solve_matches_full_window_imex(m, dt, T):
     # reference: the same IMEX scheme on the whole window, every step one
     # banded LU solve of I - dt D with no-flux walls
@@ -97,6 +100,45 @@ def test_no_subnormal_tail():
     tiny = np.finfo(float).tiny
     assert np.count_nonzero((u != 0.0) & (np.abs(u) < tiny)) == 0
     assert u.min() >= 0.0
+
+
+def test_held_bulk_shrinks_the_solved_block(monkeypatch):
+    # criterion 3's configuration: the saturated bulk behind the front is
+    # held, so a step solves well under the 0.69 N that the tail cut alone
+    # leaves
+    m = dimer_medium(X=400.0, h=0.05, jitter=0.3)
+    sizes = []
+    solve = SPDTridiagonalSolver.solve
+
+    def counted(self, b):
+        sizes.append(b.shape[0])
+        solve(self, b)
+
+    monkeypatch.setattr(SPDTridiagonalSolver, "solve", counted)
+    pde.simulate(m, pde.ReactionSpec(), T=160.0, dt=0.05, snapshot_every=1.0)
+    assert len(sizes) >= 3200
+    assert np.mean(sizes) <= 0.55 * m.N
+
+
+def test_held_bulk_does_not_depend_on_snapshots(monkeypatch):
+    # the hold advances on a per-step check, so the final state is the same
+    # bits whether the run records 60 snapshots or one
+    m = dimer_medium(X=200.0, h=0.05, jitter=0.3)
+    factored = []
+    init = SPDTridiagonalSolver.__init__
+
+    def counted(self, diag, off):
+        factored.append(diag.shape[0])
+        init(self, diag, off)
+
+    monkeypatch.setattr(SPDTridiagonalSolver, "__init__", counted)
+    finals = []
+    for every in (1.0, 60.0):
+        factored.clear()
+        finals.append(pde.simulate(m, pde.ReactionSpec(), T=60.0, dt=0.05,
+                                   snapshot_every=every, keep_final=True)[1])
+        assert len(factored) > 1  # the held bulk moved during the run
+    assert np.array_equal(finals[0], finals[1])
 
 
 def test_spd_solver_full_and_leading_block():
