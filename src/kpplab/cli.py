@@ -86,7 +86,7 @@ def cmd_eigen_speed(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     m = lab._realization(cfg, args.stream)
-    est = ops.speed_from_kp(m, cfg["p_lo"], cfg["p_hi"], tol=cfg["speed_tol"])
+    est = lab._eigen_speed(cfg, m)
     rows = sorted((float(k), v) for k, v in est.provenance["kp_evals"].items())
     _write_dat(out / "kp_curve.dat", rows, "p  k_p")
     (out / "speed_eigen.json").write_text(
@@ -132,15 +132,13 @@ def cmd_variational_minimize(args) -> int:
     if args.p is not None:
         p = args.p
     else:
-        p = 1.5 * ops.speed_from_kp(m, cfg["p_lo"], cfg["p_hi"],
-                                    tol=cfg["speed_tol"]).optimizer
+        p = 1.5 * lab._eigen_speed(cfg, m).optimizer
     res = var.minimize_theta(m, p, max_iters=args.max_iters)
     theta_path = out / "theta.f64"
     theta_path.write_bytes(np.ascontiguousarray(
         res.theta.theta, dtype="<f8").tobytes())
-    kp = ops.k_p(m, p, tol=cfg["tol"]).lam
     summary = {
-        "p": p, "k0_value": res.k0_value, "k_p_direct": kp,
+        "p": p, "k0_value": res.k0_value, "k_p_direct": res.kp_direct,
         "gap_vs_direct": res.gap_vs_direct, "grad_norm": res.grad_norm,
         "iters": res.iters, "solves": res.solves, "stop": res.stop,
         "start": res.start,
@@ -150,7 +148,7 @@ def cmd_variational_minimize(args) -> int:
     }
     (out / "theta_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"min theta value = {res.k0_value!r} vs k_p = {kp!r} "
+    print(f"min theta value = {res.k0_value!r} vs k_p = {res.kp_direct!r} "
           f"(gap {res.gap_vs_direct:.3e}, {res.iters} Newton steps, "
           f"{res.solves} eigen solves, {res.stop} from {res.start})")
     return EXIT_OK
@@ -192,8 +190,7 @@ def cmd_pde_dichotomy(args) -> int:
     if args.w_star is not None:
         w = args.w_star
     else:
-        w = ops.speed_from_kp(lab._realization(cfg, args.stream), cfg["p_lo"],
-                              cfg["p_hi"], tol=cfg["speed_tol"]).value
+        w = lab._eigen_speed(cfg, lab._realization(cfg, args.stream)).value
     report = pde.dichotomy_check(m, pde.ReactionSpec("logistic_c"), w,
                                  args.deltas, T=args.T, dt=pcfg["dt"])
     (out / "dichotomy.json").write_text(

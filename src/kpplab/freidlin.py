@@ -52,7 +52,7 @@ def _cell_fields(m: med.MediumRealization, ode_step: float):
     n = int(np.ceil(m.X / ode_step))
     step = m.X / n
     xs = step * (np.arange(n) + 0.5)
-    return step, med.field_at(m, "a", xs), med.field_at(m, "c", xs)
+    return step, *med.fields_at(m, xs)
 
 
 def riccati_mu(m: med.MediumRealization, gamma: float,

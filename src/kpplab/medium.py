@@ -14,9 +14,10 @@ ensemble kinds are supported:
 
 Plateau fields (constant media are a single block) are smoothed by
 convolving each plateau jump with a C1 bump (quartic kernel) of width eps,
-so the fields are C2.  They are evaluated analytically at arbitrary points;
-this makes rescaling exact at shared sample points and keeps plateau floors
-exact.
+so the fields are C2.  Both fields are evaluated analytically in one pass on
+the window's sorted grid (mapped by x -> x/scale into the profile's window
+when rescaled); this makes rescaling exact at shared sample points and keeps
+plateau floors exact.
 """
 
 from __future__ import annotations
@@ -193,42 +194,35 @@ class _PiecewiseProfile:
         self.jump_a = self.a_vals - prev_a
         self.jump_c = self.c_vals - prev_c
 
-    def _eval(self, x, vals, jumps):
-        x = np.asarray(x, dtype=float)
-        xm = np.mod(x, self.X)
+    def fields(self, x):
+        """(a, c) at the ascending points x of [0, X)."""
         half = self.eps / 2.0
-        idx = np.searchsorted(self.starts, xm, side="right") - 1
-        out = vals[idx]
-        order = np.argsort(xm, kind="stable")
-        xs = xm[order]
-        # every smoothing zone [image - half, image + half] of every nonzero
-        # jump, its images one period left and right included, in the order
-        # (jump, image); np.add.at then sums the zones' overlaps in that order
-        live = jumps != 0.0
+        block = np.searchsorted(self.starts, x, side="right") - 1
+        # every smoothing zone [image - half, image + half] of every jump of a
+        # or c, its images one period left and right included, in the order
+        # (jump, image); np.add.at then sums each field's overlaps in that
+        # order, and a zone where only the other field jumps adds +-0.0
+        live = (self.jump_a != 0.0) | (self.jump_c != 0.0)
         images = (self.starts[live, None]
                   + np.array([-self.X, 0.0, self.X])).ravel()
-        zone_jump = np.repeat(jumps[live], 3)
-        i0 = np.searchsorted(xs, images - half, side="left")
-        i1 = np.searchsorted(xs, images + half, side="right")
+        i0 = np.searchsorted(x, images - half, side="left")
+        i1 = np.searchsorted(x, images + half, side="right")
         count = np.maximum(i1 - i0, 0)
         first = np.cumsum(count) - count
         pos = np.arange(int(count.sum())) + np.repeat(i0 - first, count)
-        u = (xs[pos] - np.repeat(images, count)) / half
-        add = np.zeros_like(xs)
-        np.add.at(add, pos, np.repeat(zone_jump, count)
-                  * (_smooth_step(u) - (u >= 0.0)))
-        corr = np.empty_like(add)
-        corr[order] = add
-        # the monotone step response keeps the exact field inside the plateau
-        # range; clipping removes only last-ulp rounding dust so the declared
-        # floors hold exactly
-        return np.clip(out + corr, np.min(vals), np.max(vals))
+        u = (x[pos] - np.repeat(images, count)) / half
+        step = _smooth_step(u) - (u >= 0.0)
+        jump = np.repeat(np.repeat(np.flatnonzero(live), 3), count)
 
-    def a(self, x):
-        return self._eval(x, self.a_vals, self.jump_a)
+        def one(vals, jumps):
+            add = np.zeros_like(x)
+            np.add.at(add, pos, jumps[jump] * step)
+            # the monotone step response keeps the exact field inside the
+            # plateau range; clipping removes only last-ulp rounding dust so
+            # the declared floors hold exactly
+            return np.clip(vals[block] + add, np.min(vals), np.max(vals))
 
-    def c(self, x):
-        return self._eval(x, self.c_vals, self.jump_c)
+        return one(self.a_vals, self.jump_a), one(self.c_vals, self.jump_c)
 
 
 class _TrigProfile:
@@ -241,18 +235,16 @@ class _TrigProfile:
         self.a_min = float(a_min)
         self.c_min = float(c_min)
 
-    def _series(self, x, amps, phases, floor):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, floor)
-        for k, amp, ph in zip(self.ks, amps, phases):
-            out += amp * (1.0 + np.cos(k * x + ph))
-        return out
-
-    def a(self, x):
-        return self._series(x, self.amps_a, self.phases_a, self.a_min)
-
-    def c(self, x):
-        return self._series(x, self.amps_c, self.phases_c, self.c_min)
+    def fields(self, x):
+        """(a, c) at the points x."""
+        a = np.full_like(x, self.a_min)
+        c = np.full_like(x, self.c_min)
+        for k, amp_a, ph_a, amp_c, ph_c in zip(
+                self.ks, self.amps_a, self.phases_a, self.amps_c, self.phases_c):
+            kx = k * x
+            a += amp_a * (1.0 + np.cos(kx + ph_a))
+            c += amp_c * (1.0 + np.cos(kx + ph_c))
+        return a, c
 
 
 def _build_profile(spec: EnsembleSpec, child_seed: int, X: float):
@@ -354,10 +346,11 @@ class EmpiricalMeans:
 def _make_realization(spec, master_seed, stream_id, X, h, scale, profile,
                       rid) -> MediumRealization:
     n = int(round(X / h))
-    x = np.arange(n) * h
-    args = np.mod(x / scale, X / scale) if scale != 1.0 else x
+    # the grid of [0, X) maps into the profile's window [0, X / scale),
+    # ascending; dividing by scale == 1.0 is exact
+    a, c = profile.fields(np.arange(n) * h / scale)
     return MediumRealization(
-        h=float(h), X=float(X), N=n, a=profile.a(args), c=profile.c(args),
+        h=float(h), X=float(X), N=n, a=a, c=c,
         master_seed=int(master_seed), stream_id=int(stream_id),
         realization_id=rid, ensemble=spec, scale=float(scale),
     )
@@ -472,14 +465,16 @@ def scale_a(m: MediumRealization, kappa: float) -> MediumRealization:
         stream_id=m.stream_id, realization_id=rid, ensemble=None, scale=m.scale)
 
 
-def field_at(m: MediumRealization, name: str, xs: np.ndarray) -> np.ndarray:
-    """Periodic linear interpolation of a gridded field at arbitrary points."""
-    arr = getattr(m, name)
+def fields_at(m: MediumRealization,
+              xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, c) at arbitrary points by periodic linear interpolation of the grid."""
     t = np.mod(np.asarray(xs, dtype=float), m.X) / m.h
-    i0 = np.floor(t).astype(np.int64) % m.N
-    frac = t - np.floor(t)
+    floor = np.floor(t)
+    i0 = floor.astype(np.int64) % m.N
     i1 = (i0 + 1) % m.N
-    return arr[i0] * (1.0 - frac) + arr[i1] * frac
+    frac = t - floor
+    keep = 1.0 - frac
+    return m.a[i0] * keep + m.a[i1] * frac, m.c[i0] * keep + m.c[i1] * frac
 
 
 # ---------------------------------------------------------------------------

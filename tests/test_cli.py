@@ -56,6 +56,13 @@ def test_eigen_kp_and_speed(tmp_path, capsys):
     assert kp["realization_id"] == data["provenance"]["realization_id"]
 
 
+def test_tol_sets_the_eigen_tolerance_of_eigen_speed(tmp_path):
+    cfg = write_config(tmp_path)
+    assert run(tmp_path, "--tol", "1e-9", "eigen", "speed", cfg=cfg) == 0
+    data = json.loads((tmp_path / "out" / "speed_eigen.json").read_text())
+    assert data["provenance"]["eig_tol"] == 1e-9
+
+
 def test_freidlin_commands(tmp_path):
     cfg = write_config(tmp_path)
     assert run(tmp_path, "freidlin", "mu", "--gamma-count", "5", cfg=cfg) == 0
@@ -91,6 +98,15 @@ def test_variational_minimize(tmp_path, capsys):
     theta = np.frombuffer((tmp_path / "out" / "theta.f64").read_bytes(),
                           dtype="<f8")
     assert theta.shape[0] == summary["N"]
+
+    # the gap is taken against the k_p the summary reports
+    dimer = write_config(tmp_path, X=50.0, ensemble={
+        "kind": "dimer_random", "a_plus": 1.0, "a_minus": 1.0, "c_plus": 1.5,
+        "c_minus": 0.5, "len1": 1.0, "len2": 1.0, "eps": 0.2})
+    assert run(tmp_path, "variational", "minimize", "--p", "1.0",
+               "--max-iters", "40", cfg=dimer) == 0
+    summary = json.loads((tmp_path / "out" / "theta_summary.json").read_text())
+    assert summary["gap_vs_direct"] == summary["k0_value"] - summary["k_p_direct"]
 
 
 def test_pde_commands(tmp_path):

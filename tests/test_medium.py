@@ -76,13 +76,51 @@ def _looped_correction(prof, x, jumps):
 def test_piecewise_profile_matches_loop(spec, X, h):
     m = med.sample_realization(spec, MASTER, 1, X, h)
     prof = med._profile_for(m)
+    for L in (1.0, 0.5, 2.0):
+        scaled = m if L == 1.0 else med.rescale(m, L)
+        # the grid of the rescaled window, mapped into the profile's window
+        grid = scaled.x / L
+        idx = np.searchsorted(prof.starts, np.mod(grid, prof.X),
+                              side="right") - 1
+        for vals, jumps, got, field in zip((prof.a_vals, prof.c_vals),
+                                           (prof.jump_a, prof.jump_c),
+                                           prof.fields(grid),
+                                           (scaled.a, scaled.c)):
+            ref = np.clip(vals[idx] + _looped_correction(prof, grid, jumps),
+                          np.min(vals), np.max(vals))
+            assert np.array_equal(got, ref)
+            assert np.array_equal(field, ref)
+
+
+def test_trig_profile_matches_per_field_series():
+    m = med.sample_realization(trig_spec(), MASTER, 2, 100.0, 0.02)
+    prof = med._profile_for(m)
     x = m.x
-    for vals, jumps, field in ((prof.a_vals, prof.jump_a, m.a),
-                               (prof.c_vals, prof.jump_c, m.c)):
-        idx = np.searchsorted(prof.starts, np.mod(x, prof.X), side="right") - 1
-        ref = np.clip(vals[idx] + _looped_correction(prof, x, jumps),
-                      np.min(vals), np.max(vals))
-        assert np.array_equal(field, ref)
+
+    def series(amps, phases, floor):
+        out = np.full_like(x, floor)
+        for k, amp, ph in zip(prof.ks, amps, phases):
+            out += amp * (1.0 + np.cos(k * x + ph))
+        return out
+
+    a, c = prof.fields(x)
+    assert np.array_equal(a, series(prof.amps_a, prof.phases_a, prof.a_min))
+    assert np.array_equal(c, series(prof.amps_c, prof.phases_c, prof.c_min))
+    assert np.array_equal(m.a, a)
+    assert np.array_equal(m.c, c)
+
+
+def test_fields_at_matches_per_field_interpolation():
+    m = dimer_medium(X=50.0, h=0.02, a_plus=2.0, jitter=0.3)
+    # points on both sides of the window, on nodes and on its ends
+    xs = np.concatenate((np.linspace(-7.3, 123.1, 2001), m.x[::97],
+                         [0.0, 50.0, -50.0, 49.99]))
+    t = np.mod(xs, m.X) / m.h
+    i0 = np.floor(t).astype(np.int64) % m.N
+    frac = t - np.floor(t)
+    for got, field in zip(med.fields_at(m, xs), (m.a, m.c)):
+        ref = field[i0] * (1.0 - frac) + field[(i0 + 1) % m.N] * frac
+        assert np.array_equal(got, ref)
 
 
 def _looped_dimer_profile(spec, child_seed, X):
@@ -247,7 +285,7 @@ def test_trig_window_mean_is_seed_exact():
 def test_trig_field_is_window_periodic():
     spec = trig_spec()
     m = med.sample_realization(spec, MASTER, 0, 100.0, 0.02)
-    prof_val = med.field_at(m, "c", np.array([0.0, 100.0]))
+    prof_val = med.fields_at(m, np.array([0.0, 100.0]))[1]
     assert abs(prof_val[0] - prof_val[1]) <= 1e-12
 
 

@@ -87,6 +87,15 @@ def test_right_hand_side_of_wrong_size_is_rejected():
         solver.solve(np.ones(4))
 
 
+def test_bindings_are_foreign_calls_that_drop_the_gil():
+    # a CFUNCTYPE call releases the GIL for the call's duration; a
+    # PYFUNCTYPE one (flag FUNCFLAG_PYTHONAPI) keeps it
+    assert ctypes.PYFUNCTYPE(None)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    for f in (tridiag._dgtsv, tridiag._dgttrf, tridiag._dgttrs,
+              tridiag._dpttrf, tridiag._dpttrs):
+        assert not type(f)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
 def _stall_ratio(fn, attempts=3):
     """Longest gap between the main thread's clock reads while fn runs in a
     worker thread, over fn's own time alone; the best of a few attempts.
@@ -123,7 +132,9 @@ def _stall_ratio(fn, attempts=3):
     return min(ratios)
 
 
-def _big_cyclic(n=2 ** 20):
+def _big_cyclic(n=2 ** 22):
+    # a GIL test times a long call, so that a scheduler slice the main thread
+    # loses to another process is a small share of it
     rng = np.random.default_rng(7)
     sub = 1.0 + rng.random(n)
     sup = 1.0 + rng.random(n)
@@ -243,7 +254,7 @@ def test_spd_cyclic_rejects_a_shift_below_the_top_eigenvalue():
 
 
 def test_spd_cyclic_factorization_and_solve_release_the_gil():
-    diag, off = _spd_cyclic(2 ** 20, 7)
+    diag, off = _spd_cyclic(2 ** 22, 7)
     assert _stall_ratio(lambda: _factored(diag, off)) < 0.15
     solver = _factored(diag, off)
     b = np.ones(diag.shape[0])
