@@ -1,5 +1,10 @@
 """Command-line interface.
 
+Each sampling command (medium, eigen, freidlin, variational and pde) takes
+``--stream`` and writes its payloads into ``--out``; the pde commands sample
+the stream's medium on the config's ``pde`` grid, the others on its ``h``.
+A config file may only name keys the default config has.
+
 Exit codes: 0 success, 2 a suite verdict was violated, 3 a suite was
 inconclusive, 4 numerical failure.
 """
@@ -19,8 +24,7 @@ from . import operators as ops
 from . import pde
 from . import speedlab as lab
 from . import variational as var
-from .manifest import RunManifest
-from .results import NumericalFailure
+from .results import NumericalFailure, write_json
 
 EXIT_OK = 0
 EXIT_VIOLATED = 2
@@ -40,10 +44,23 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _out_dir(args) -> Path:
+def _setup(args, pde_grid: bool = False):
+    """(cfg, out, m): the config, the output directory, the stream's medium.
+
+    The medium is sampled on cfg["pde"]["h"] when pde_grid is set, else on
+    cfg["h"].
+    """
+    cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    h = cfg["pde"]["h"] if pde_grid else None
+    return cfg, out, lab._realization(cfg, args.stream, h)
+
+
+def _front_trace(cfg: dict, m) -> pde.FrontTrace:
+    pcfg = cfg["pde"]
+    return pde.simulate(m, pde.ReactionSpec("logistic_c"), T=pcfg["T"],
+                        dt=pcfg["dt"], snapshot_every=pcfg["snapshot_every"])
 
 
 def _write_dat(path: Path, rows, header: str) -> Path:
@@ -54,9 +71,7 @@ def _write_dat(path: Path, rows, header: str) -> Path:
 
 
 def cmd_medium_sample(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    m = lab._realization(cfg, args.stream)
+    _, out, m = _setup(args)
     path = med.save_realization(m, out / f"medium_{args.stream}.kppm")
     em = med.empirical_means(m)
     print(f"wrote {path} (N={m.N}, X={m.X:g}, h={m.h:g}); "
@@ -66,39 +81,31 @@ def cmd_medium_sample(args) -> int:
 
 
 def cmd_eigen_kp(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    m = lab._realization(cfg, args.stream)
+    cfg, out, m = _setup(args)
     ps = np.linspace(args.p_min, args.p_max, args.p_count)
     curve = ops.kp_curve(m, ps, tol=cfg["tol"])
     _write_dat(out / "kp_curve.dat", curve, "p  k_p")
     res = ops.k_p(m, args.p, tol=cfg["tol"])
-    payload = out / "kp.json"
-    record = {**res.to_dict(), "p": args.p, "N": m.N, "h": m.h, "X": m.X,
-              "realization_id": m.realization_id}
-    payload.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    write_json(out / "kp.json", {
+        **res.to_dict(), "p": args.p, "N": m.N, "h": m.h, "X": m.X,
+        "realization_id": m.realization_id})
     print(f"k_p(p={args.p:g}) = {res.lam!r}  residual={res.residual:.2e} "
           f"iters={res.iters}")
     return EXIT_OK
 
 
 def cmd_eigen_speed(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    m = lab._realization(cfg, args.stream)
+    cfg, out, m = _setup(args)
     est = lab._eigen_speed(cfg, m)
     rows = sorted((float(k), v) for k, v in est.provenance["kp_evals"].items())
     _write_dat(out / "kp_curve.dat", rows, "p  k_p")
-    (out / "speed_eigen.json").write_text(
-        json.dumps(est.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(out / "speed_eigen.json", est.to_dict())
     print(f"w* = {est.value!r} at p* = {est.optimizer!r} (err {est.err:.2e})")
     return EXIT_OK
 
 
 def cmd_freidlin_mu(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    m = lab._realization(cfg, args.stream)
+    cfg, out, m = _setup(args)
     lam1 = ops.k_p(m, 0.0, tol=cfg["tol"]).lam
     lo = (args.gamma_min if args.gamma_min is not None
           else fr.gamma_floor(m, lam1))
@@ -114,21 +121,16 @@ def cmd_freidlin_mu(args) -> int:
 
 
 def cmd_freidlin_speed(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    m = lab._realization(cfg, args.stream)
+    cfg, out, m = _setup(args)
     est = fr.speed_freidlin(m, tol=cfg["speed_tol"])
-    (out / "speed_freidlin.json").write_text(
-        json.dumps(est.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(out / "speed_freidlin.json", est.to_dict())
     print(f"w* = {est.value!r} at gamma* = {est.optimizer!r} "
           f"(mu* = {est.provenance['mu_star']:.6g})")
     return EXIT_OK
 
 
 def cmd_variational_minimize(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    m = lab._realization(cfg, args.stream)
+    cfg, out, m = _setup(args)
     if args.p is not None:
         p = args.p
     else:
@@ -146,8 +148,7 @@ def cmd_variational_minimize(args) -> int:
         "theta_file": theta_path.name, "N": m.N, "h": m.h, "X": m.X,
         "realization_id": m.realization_id,
     }
-    (out / "theta_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out / "theta_summary.json", summary)
     print(f"min theta value = {res.k0_value!r} vs k_p = {res.kp_direct!r} "
           f"(gap {res.gap_vs_direct:.3e}, {res.iters} Newton steps, "
           f"{res.solves} eigen solves, {res.stop} from {res.start})")
@@ -155,12 +156,8 @@ def cmd_variational_minimize(args) -> int:
 
 
 def cmd_pde_run(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    pcfg = cfg["pde"]
-    m = lab._realization(cfg, args.stream, pcfg["h"])
-    trace = pde.simulate(m, pde.ReactionSpec("logistic_c"), T=pcfg["T"],
-                         dt=pcfg["dt"], snapshot_every=pcfg["snapshot_every"])
+    cfg, out, m = _setup(args, pde_grid=True)
+    trace = _front_trace(cfg, m)
     trace.to_csv(out / "front.csv")
     _write_dat(out / "front.dat",
                np.column_stack([trace.times, trace.positions]), "t  position")
@@ -169,32 +166,22 @@ def cmd_pde_run(args) -> int:
 
 
 def cmd_pde_speed(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    pcfg = cfg["pde"]
-    m = lab._realization(cfg, args.stream, pcfg["h"])
-    trace = pde.simulate(m, pde.ReactionSpec("logistic_c"), T=pcfg["T"],
-                         dt=pcfg["dt"], snapshot_every=pcfg["snapshot_every"])
-    est = pde.front_speed(trace, pcfg["fit_fraction"])
-    (out / "speed_pde.json").write_text(
-        json.dumps(est.to_dict(), indent=2, sort_keys=True) + "\n")
+    cfg, out, m = _setup(args, pde_grid=True)
+    est = pde.front_speed(_front_trace(cfg, m), cfg["pde"]["fit_fraction"])
+    write_json(out / "speed_pde.json", est.to_dict())
     print(f"fitted front speed = {est.value!r} +- {est.err:.3g}")
     return EXIT_OK
 
 
 def cmd_pde_dichotomy(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    pcfg = cfg["pde"]
-    m = lab._realization(cfg, args.stream, pcfg["h"])
+    cfg, out, m = _setup(args, pde_grid=True)
     if args.w_star is not None:
         w = args.w_star
     else:
         w = lab._eigen_speed(cfg, lab._realization(cfg, args.stream)).value
     report = pde.dichotomy_check(m, pde.ReactionSpec("logistic_c"), w,
-                                 args.deltas, T=args.T, dt=pcfg["dt"])
-    (out / "dichotomy.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+                                 args.deltas, T=args.T, dt=cfg["pde"]["dt"])
+    write_json(out / "dichotomy.json", report)
     for rec in report:
         print(rec)
     ok = all(r["inside_ok"] and r["outside_ok"]
@@ -204,7 +191,7 @@ def cmd_pde_dichotomy(args) -> int:
 
 def cmd_suite(args) -> int:
     cfg = _load_config(args)
-    report = lab.run_suite(args.name, cfg, out_dir=_out_dir(args),
+    report = lab.run_suite(args.name, cfg, out_dir=args.out,
                            threads=args.threads)
     for v in report.verdicts:
         print(f"[{v.verdict:>12}] {v.claim}: margin {v.margin:+.3e} "
@@ -218,7 +205,7 @@ def cmd_suite(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_id)
-    manifest = RunManifest.read(run_dir / "manifest.json")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
     print(f"run {manifest['run_key']} (tool {manifest['tool_version']})")
     print(f"  started  {manifest['started_at']}")
     print(f"  finished {manifest['finished_at']}")
@@ -254,56 +241,58 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker threads of a suite (at least 1)")
     ap.add_argument("--tol", type=float, help="eigen tolerance override")
     sub = ap.add_subparsers(dest="command", required=True)
+    # the parent parser of every command that samples a medium
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--stream", type=int, default=0)
 
     p_med = sub.add_parser("medium", help="medium generation")
     med_sub = p_med.add_subparsers(dest="subcommand", required=True)
-    p = med_sub.add_parser("sample", help="sample and persist one realization")
-    p.add_argument("--stream", type=int, default=0)
+    p = med_sub.add_parser("sample", parents=[stream],
+                           help="sample and persist one realization")
     p.set_defaults(fn=cmd_medium_sample)
 
     p_eig = sub.add_parser("eigen", help="tilted-operator eigenvalues")
     eig_sub = p_eig.add_subparsers(dest="subcommand", required=True)
-    p = eig_sub.add_parser("kp", help="k_p at one tilt plus a (p, k_p) curve")
-    p.add_argument("--stream", type=int, default=0)
+    p = eig_sub.add_parser("kp", parents=[stream],
+                           help="k_p at one tilt plus a (p, k_p) curve")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--p-min", type=float, default=0.2)
     p.add_argument("--p-max", type=float, default=2.0)
     p.add_argument("--p-count", type=int, default=10)
     p.set_defaults(fn=cmd_eigen_kp)
-    p = eig_sub.add_parser("speed", help="w* by eigenvalue minimization")
-    p.add_argument("--stream", type=int, default=0)
+    p = eig_sub.add_parser("speed", parents=[stream],
+                           help="w* by eigenvalue minimization")
     p.set_defaults(fn=cmd_eigen_speed)
 
     p_fr = sub.add_parser("freidlin", help="Lyapunov-exponent route")
     fr_sub = p_fr.add_subparsers(dest="subcommand", required=True)
-    p = fr_sub.add_parser("mu", help="mu(gamma) curve")
-    p.add_argument("--stream", type=int, default=0)
+    p = fr_sub.add_parser("mu", parents=[stream], help="mu(gamma) curve")
     p.add_argument("--gamma-min", type=float)
     p.add_argument("--gamma-max", type=float)
     p.add_argument("--gamma-count", type=int, default=25)
     p.set_defaults(fn=cmd_freidlin_mu)
-    p = fr_sub.add_parser("speed", help="w* by gamma/mu minimization")
-    p.add_argument("--stream", type=int, default=0)
+    p = fr_sub.add_parser("speed", parents=[stream],
+                          help="w* by gamma/mu minimization")
     p.set_defaults(fn=cmd_freidlin_speed)
 
     p_var = sub.add_parser("variational", help="drift-field optimization")
     var_sub = p_var.add_subparsers(dest="subcommand", required=True)
-    p = var_sub.add_parser("minimize", help="minimize k_0(a, c + a(p+theta)^2)")
-    p.add_argument("--stream", type=int, default=0)
+    p = var_sub.add_parser("minimize", parents=[stream],
+                           help="minimize k_0(a, c + a(p+theta)^2)")
     p.add_argument("--p", type=float)
     p.add_argument("--max-iters", type=int, default=300)
     p.set_defaults(fn=cmd_variational_minimize)
 
     p_pde = sub.add_parser("pde", help="direct front simulation")
     pde_sub = p_pde.add_subparsers(dest="subcommand", required=True)
-    p = pde_sub.add_parser("run", help="integrate and record the front trace")
-    p.add_argument("--stream", type=int, default=0)
+    p = pde_sub.add_parser("run", parents=[stream],
+                           help="integrate and record the front trace")
     p.set_defaults(fn=cmd_pde_run)
-    p = pde_sub.add_parser("speed", help="fitted front speed")
-    p.add_argument("--stream", type=int, default=0)
+    p = pde_sub.add_parser("speed", parents=[stream],
+                           help="fitted front speed")
     p.set_defaults(fn=cmd_pde_speed)
-    p = pde_sub.add_parser("dichotomy", help="probe u at (1 +- delta) w* T")
-    p.add_argument("--stream", type=int, default=0)
+    p = pde_sub.add_parser("dichotomy", parents=[stream],
+                           help="probe u at (1 +- delta) w* T")
     p.add_argument("--w-star", type=float)
     p.add_argument("--T", type=float, default=150.0)
     p.add_argument("--deltas", type=float, nargs="+", default=[0.25])

@@ -1,11 +1,17 @@
-"""Run manifests."""
+"""Run manifests.
+
+A suite run writes ``manifest.json`` next to its payloads: the config
+snapshot, the master seed, the tool version, start and finish timestamps,
+the environment and the sha of each payload.  Re-running with the same
+config snapshot and master seed reproduces the listed payloads byte for
+byte; the manifest itself carries timestamps and the environment, and is
+excluded from that guarantee.  Neither enters the run key.
+"""
 
 from __future__ import annotations
 
 import datetime as _dt
-import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +19,16 @@ import scipy
 
 from . import __version__
 from .hashutil import canonical_json, content_hash
+from .results import write_json
 
 
 def file_sha(path: Path) -> str:
     return content_hash(path.read_bytes())
+
+
+def utc_now() -> str:
+    """The current UTC time in ISO 8601."""
+    return _dt.datetime.now(_dt.timezone.utc).isoformat()
 
 
 def environment(workers: int) -> dict:
@@ -43,56 +55,28 @@ def environment(workers: int) -> dict:
     }
 
 
-@dataclass
-class RunManifest:
-    """Snapshot of one orchestrated run.
+def run_key(config: dict, master_seed: int) -> str:
+    """Content key of a run: its config snapshot and master seed."""
+    return content_hash(canonical_json(config), str(master_seed))
 
-    Re-running with the same config snapshot and master seed reproduces the
-    listed CSV/JSON payloads byte-for-byte; the manifest itself carries
-    timestamps and the environment, and is excluded from that guarantee.
-    Neither enters the run key.
+
+def write_manifest(out_dir: str | Path, config: dict, master_seed: int,
+                   started_at: str, environment: dict,
+                   outputs: list[Path]) -> Path:
+    """Write ``manifest.json`` into out_dir, finished now.
+
+    ``outputs`` are the payload files of the run; each is recorded by name
+    with the sha of its bytes.
     """
-
-    config: dict
-    master_seed: int
-    tool_version: str = __version__
-    started_at: str = ""
-    finished_at: str = ""
-    outputs: list = field(default_factory=list)  # [{path, sha}]
-    environment: dict = field(default_factory=dict)
-
-    def start(self) -> "RunManifest":
-        self.started_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
-        return self
-
-    def finish(self) -> "RunManifest":
-        self.finished_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
-        return self
-
-    def record_output(self, path: str | Path) -> None:
-        path = Path(path)
-        self.outputs.append({"path": path.name, "sha": file_sha(path)})
-
-    def content_key(self) -> str:
-        return content_hash(canonical_json(self.config),
-                            str(self.master_seed))
-
-    def write(self, out_dir: str | Path) -> Path:
-        out = Path(out_dir) / "manifest.json"
-        payload = {
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "tool_version": self.tool_version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "environment": self.environment,
-            "outputs": sorted(self.outputs, key=lambda d: d["path"]),
-            "run_key": self.content_key(),
-        }
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return out
-
-    @staticmethod
-    def read(path: str | Path) -> dict:
-        return json.loads(Path(path).read_text())
-
+    records = [{"path": Path(p).name, "sha": file_sha(Path(p))}
+               for p in outputs]
+    return write_json(Path(out_dir) / "manifest.json", {
+        "config": config,
+        "master_seed": master_seed,
+        "tool_version": __version__,
+        "started_at": started_at,
+        "finished_at": utc_now(),
+        "environment": environment,
+        "outputs": sorted(records, key=lambda d: d["path"]),
+        "run_key": run_key(config, master_seed),
+    })

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .hashutil import canonical_json, content_hash64, hash64
+from .results import write_json
 
 FORMAT_MAGIC = b"KPPM"
 FORMAT_VERSION = 2
@@ -404,14 +405,11 @@ def rescale(m: MediumRealization, L: float) -> MediumRealization:
     """Return the rescaled medium a_L(x) = a(x/L), c_L(x) = c(x/L).
 
     The parent profile is re-sampled at x/L on an L*N-node grid with the same
-    spacing h (window length L*X); L*N must be integral.  At shared sample
-    points the child fields equal the parent fields exactly.
+    spacing h (window length L*X), which must be a valid window grid (see
+    ``_grid_nodes``).  At shared sample points the child fields equal the
+    parent fields exactly.
     """
-    if L <= 0:
-        raise ValueError("rescale factor L must be positive")
-    n_new = m.N * L
-    if abs(n_new - round(n_new)) > 1e-9 * max(1.0, n_new):
-        raise ValueError(f"L*N = {n_new!r} is not integral")
+    _grid_nodes(m.X * L, m.h)
     profile = _profile_for(m)
     rid = content_hash64(
         np.uint64(m.realization_id).tobytes(), b"rescale", np.float64(L).tobytes())
@@ -439,30 +437,28 @@ def replace_c(m: MediumRealization, new_c: np.ndarray, tag: str) -> MediumRealiz
 
     Used by suites that evaluate eigenvalues for modified zero-order terms
     (e.g. L^2 * c, demeaned c, c + shift).  The derived realization has a new
-    id and no generating profile, so it cannot be rescaled further.
+    id and no generating profile, so it cannot be rescaled further.  It
+    shares the read-only field a with m.
     """
     new_c = np.ascontiguousarray(new_c, dtype=float)
     if new_c.shape != (m.N,):
         raise ValueError("replacement c has wrong shape")
     rid = content_hash64(
         np.uint64(m.realization_id).tobytes(), tag.encode(), new_c.tobytes())
-    return MediumRealization(
-        h=m.h, X=m.X, N=m.N, a=m.a.copy(), c=new_c,
-        master_seed=m.master_seed, stream_id=m.stream_id,
-        realization_id=rid, ensemble=None, scale=m.scale)
+    return replace(m, c=new_c, realization_id=rid, ensemble=None)
 
 
 def scale_a(m: MediumRealization, kappa: float) -> MediumRealization:
-    """Derived realization with the diffusion field scaled by kappa > 0."""
+    """Derived realization with the diffusion field scaled by kappa > 0.
+
+    It shares the read-only field c with m.
+    """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     rid = content_hash64(
         np.uint64(m.realization_id).tobytes(), b"scale_a",
         np.float64(kappa).tobytes())
-    return MediumRealization(
-        h=m.h, X=m.X, N=m.N, a=kappa * m.a, c=m.c.copy(),
-        master_seed=m.master_seed,
-        stream_id=m.stream_id, realization_id=rid, ensemble=None, scale=m.scale)
+    return replace(m, a=kappa * m.a, realization_id=rid, ensemble=None)
 
 
 def fields_at(m: MediumRealization,
@@ -503,8 +499,7 @@ def save_realization(m: MediumRealization, path: str | Path) -> Path:
         "h": m.h,
         "scale": m.scale,
     }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(path.with_suffix(path.suffix + ".json"), sidecar)
     return path
 
 

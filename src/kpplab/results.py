@@ -1,8 +1,21 @@
-"""Shared result records and the numerical failure family."""
+"""Result records, the JSON payload writer and the numerical failure family."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
+
+
+def write_json(path: str | Path, obj) -> Path:
+    """Write a payload as JSON: 2-space indent, sorted keys, final newline.
+
+    Every JSON payload goes through here, so payloads that hold the same
+    values are the same bytes.
+    """
+    path = Path(path)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 class NumericalFailure(Exception):

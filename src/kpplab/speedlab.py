@@ -21,8 +21,8 @@ from . import freidlin as fr
 from . import medium as med
 from . import operators as ops
 from . import variational as var
-from .manifest import RunManifest, environment
-from .results import SpeedEstimate
+from .manifest import environment, run_key, utc_now, write_manifest
+from .results import SpeedEstimate, write_json
 
 DEFAULT_CONFIG: dict = {
     "ensemble": {"kind": "dimer_random", "a_plus": 1.0, "a_minus": 1.0,
@@ -51,12 +51,26 @@ DEFAULT_CONFIG: dict = {
 
 
 def make_config(**overrides) -> dict:
+    """DEFAULT_CONFIG with overrides; a ``pde`` dict merges into its defaults.
+
+    Raises ValueError naming any key DEFAULT_CONFIG does not have (at the
+    top level or in ``pde``), so that a misspelt key cannot run silently on
+    its default, and for ``seeds`` below 1.
+    """
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
+    unknown = sorted(set(overrides) - set(cfg))
+    pde = overrides.get("pde")
+    if isinstance(pde, dict):
+        unknown += [f"pde.{k}" for k in sorted(set(pde) - set(cfg["pde"]))]
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for k, v in overrides.items():
         if k == "pde" and isinstance(v, dict):
             cfg["pde"].update(v)
         else:
             cfg[k] = v
+    if cfg["seeds"] < 1:
+        raise ValueError(f"seeds must be at least 1, got {cfg['seeds']!r}")
     return cfg
 
 
@@ -500,23 +514,19 @@ def run_suite(name: str, config: dict, out_dir: str | Path | None = None,
     """Run a named suite, optionally persisting payloads and a manifest."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    manifest = RunManifest(config={"suite": name, **config},
-                           master_seed=config["master_seed"],
-                           environment=environment(threads)).start()
+    started_at = utc_now()
+    snapshot = {"suite": name, **config}
     report = SUITES[name](config, threads=threads)
-    report.manifest_hash = manifest.content_key()
+    report.manifest_hash = run_key(snapshot, config["master_seed"])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        payload = out / f"{name}_report.json"
-        payload.write_text(json.dumps(report.to_dict(), indent=2,
-                                      sort_keys=True) + "\n")
-        manifest.record_output(payload)
+        payload = write_json(out / f"{name}_report.json", report.to_dict())
         csv_path = out / f"{name}_verdicts.csv"
         lines = ["claim,verdict,margin,tolerance"]
         lines += [f"\"{v.claim}\",{v.verdict},{v.margin!r},{v.tolerance!r}"
                   for v in report.verdicts]
         csv_path.write_text("\n".join(lines) + "\n")
-        manifest.record_output(csv_path)
-        manifest.finish().write(out)
+        write_manifest(out, snapshot, config["master_seed"], started_at,
+                       environment(threads), [payload, csv_path])
     return report

@@ -5,6 +5,7 @@ import pytest
 
 from kpplab import cli
 from kpplab import freidlin as fr
+from kpplab import medium as med
 from kpplab import operators as ops
 from kpplab import pde
 from kpplab import variational as var
@@ -28,6 +29,50 @@ def run(tmp_path, *argv, cfg=None):
     if cfg:
         args += ["--config", cfg]
     return cli.main(args + list(argv))
+
+
+class Sampled(Exception):
+    pass
+
+
+# the nine sampling commands and the (stream, h) of each medium they sample;
+# without --w-star, dichotomy takes its default w* on the config grid
+SAMPLING = {
+    "medium sample": [(1, 0.02)],
+    "eigen kp": [(1, 0.02)],
+    "eigen speed": [(1, 0.02)],
+    "freidlin mu": [(1, 0.02)],
+    "freidlin speed": [(1, 0.02)],
+    "variational minimize": [(1, 0.02)],
+    "pde run": [(1, 0.05)],
+    "pde speed": [(1, 0.05)],
+    "pde dichotomy": [(1, 0.05), (1, 0.02)],
+}
+
+
+@pytest.mark.parametrize("command", SAMPLING)
+def test_sampling_commands_take_stream(tmp_path, monkeypatch, command):
+    expected = SAMPLING[command]
+    sampled = []
+    sample = med.sample_realization
+
+    def recording(spec, master_seed, stream_id, X, h):
+        sampled.append((stream_id, h))
+        if len(sampled) == len(expected):
+            raise Sampled  # the command has sampled all it needs
+        return sample(spec, master_seed, stream_id, X, h)
+
+    monkeypatch.setattr(med, "sample_realization", recording)
+    with pytest.raises(Sampled):
+        run(tmp_path, *command.split(), "--stream", "1",
+            cfg=write_config(tmp_path))
+    assert sampled == expected
+
+
+def test_unknown_config_key_is_rejected_before_any_output(tmp_path):
+    with pytest.raises(ValueError, match="unknown config keys: seed"):
+        run(tmp_path, "medium", "sample", cfg=write_config(tmp_path, seed=3))
+    assert not (tmp_path / "out").exists()
 
 
 def test_medium_sample(tmp_path, capsys):

@@ -239,6 +239,9 @@ def test_rescale_rejects_bad_factor():
         med.rescale(m, 0.0)
     with pytest.raises(ValueError):
         med.rescale(m, 1.0 + 1e-7)  # L*N not integral
+    small = dimer_medium(X=0.4, h=0.05)  # 8 nodes, the fewest a window has
+    with pytest.raises(ValueError, match="at least 8 nodes"):
+        med.rescale(small, 0.5)
 
 
 def test_dimer_stationarity_proxy():
@@ -352,6 +355,9 @@ def test_replace_and_scale_helpers(tmp_path):
     doubled = med.scale_a(m, 2.0)
     assert np.allclose(doubled.a, 2.0 * m.a)
     assert np.allclose(doubled.a_half, 2.0 * m.a_half)
+    # the unchanged, read-only field is shared with the parent, not copied
+    assert np.shares_memory(shifted.a, m.a)
+    assert np.shares_memory(doubled.c, m.c)
     # a_half is always the mean of neighbouring a, so a save/load round trip
     # reproduces it, also for a kappa whose product rounds
     tripled = med.scale_a(med.sample_realization(trig_spec(), MASTER, 0, 40.0,

@@ -6,7 +6,7 @@ import pytest
 
 from kpplab import medium as med
 from kpplab import speedlab as lab
-from kpplab.manifest import RunManifest
+from kpplab.manifest import file_sha, run_key
 
 from conftest import MASTER
 
@@ -28,6 +28,18 @@ def test_seed_pairing_contract():
     r1 = lab.suite_homogenized_bound(small_config(seeds=1))
     r5 = lab.suite_homogenized_bound(small_config(seeds=5))
     assert r1.points[0]["w"] == r5.points[0]["w"]
+
+
+def test_make_config_rejects_unknown_keys_and_no_seeds():
+    # a misspelt key would otherwise run silently on its default
+    with pytest.raises(ValueError, match="unknown config keys: seed$"):
+        lab.make_config(seed=3)
+    with pytest.raises(ValueError, match="pde.dtt"):
+        lab.make_config(pde={"T": 10.0, "dtt": 0.1})
+    # no seed means no points to judge: rejected before any suite runs
+    with pytest.raises(ValueError, match="seeds must be at least 1"):
+        small_config(seeds=0)
+    assert lab.make_config(pde={"T": 10.0})["pde"]["dt"] == 0.05
 
 
 def test_suite_homogenized_bound_homogeneous():
@@ -147,18 +159,20 @@ def test_run_suite_writes_reproducible_payloads(tmp_path):
                ("converged", "stagnated", "max_iters")
                and p["attainment"]["start"] in ("homogenized", "closed_form")
                for p in rep1.points)
-    manifest = RunManifest.read(tmp_path / "run1" / "manifest.json")
+    manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
+    # the report carries the manifest's run key: config snapshot and seed
+    assert rep1.manifest_hash == manifest["run_key"] == run_key(
+        {"suite": "eigen_properties", **cfg}, cfg["master_seed"])
     # the environment is recorded, and kept out of the run key
     assert manifest["environment"]["workers"] == 1
-    assert RunManifest.read(
-        tmp_path / "run2" / "manifest.json")["environment"]["workers"] == 2
+    assert json.loads((tmp_path / "run2" / "manifest.json").read_text())[
+        "environment"]["workers"] == 2
     assert {"numpy", "scipy", "blas", "scipy_lapack", "OPENBLAS_NUM_THREADS",
             "OMP_NUM_THREADS", "cpu_count"} <= set(manifest["environment"])
     assert {o["path"] for o in manifest["outputs"]} == {
         "eigen_properties_report.json", "eigen_properties_verdicts.csv"}
     # recorded hashes match the bytes on disk
     for rec in manifest["outputs"]:
-        from kpplab.manifest import file_sha
         assert file_sha(tmp_path / "run1" / rec["path"]) == rec["sha"]
 
 
