@@ -5,8 +5,10 @@ Each sampling command (medium, eigen, freidlin, variational and pde) takes
 the stream's medium on the config's ``pde`` grid, the others on its ``h``.
 A config file may only name keys the default config has.
 
-Exit codes: 0 success, 2 a suite verdict was violated, 3 a suite was
-inconclusive, 4 numerical failure.
+Exit codes: 0 success, 2 a suite verdict was violated or the input was
+refused (a usage error: an unreadable or invalid config, or a config a suite
+does not accept; nothing is written), 3 a suite was inconclusive,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,11 @@ EXIT_NUMERICAL = 4
 def _load_config(args) -> dict:
     overrides = {}
     if args.config:
-        overrides = json.loads(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read --config: {exc}") from None
+        overrides = json.loads(text)
     cfg = lab.make_config(**overrides)
     if args.seed is not None:
         cfg["master_seed"] = args.seed
@@ -48,13 +55,14 @@ def _setup(args, pde_grid: bool = False):
     """(cfg, out, m): the config, the output directory, the stream's medium.
 
     The medium is sampled on cfg["pde"]["h"] when pde_grid is set, else on
-    cfg["h"].
+    cfg["h"], and before --out is made, so a refused grid writes nothing.
     """
     cfg = _load_config(args)
+    m = lab._realization(cfg, args.stream,
+                         cfg["pde"]["h"] if pde_grid else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    h = cfg["pde"]["h"] if pde_grid else None
-    return cfg, out, lab._realization(cfg, args.stream, h)
+    return cfg, out, m
 
 
 def _front_trace(cfg: dict, m) -> pde.FrontTrace:
@@ -99,7 +107,7 @@ def cmd_eigen_speed(args) -> int:
     est = lab._eigen_speed(cfg, m)
     rows = sorted((float(k), v) for k, v in est.provenance["kp_evals"].items())
     _write_dat(out / "kp_curve.dat", rows, "p  k_p")
-    write_json(out / "speed_eigen.json", est.to_dict())
+    write_json(out / "speed_eigen.json", asdict(est))
     print(f"w* = {est.value!r} at p* = {est.optimizer!r} (err {est.err:.2e})")
     return EXIT_OK
 
@@ -123,7 +131,7 @@ def cmd_freidlin_mu(args) -> int:
 def cmd_freidlin_speed(args) -> int:
     cfg, out, m = _setup(args)
     est = fr.speed_freidlin(m, tol=cfg["speed_tol"])
-    write_json(out / "speed_freidlin.json", est.to_dict())
+    write_json(out / "speed_freidlin.json", asdict(est))
     print(f"w* = {est.value!r} at gamma* = {est.optimizer!r} "
           f"(mu* = {est.provenance['mu_star']:.6g})")
     return EXIT_OK
@@ -168,7 +176,7 @@ def cmd_pde_run(args) -> int:
 def cmd_pde_speed(args) -> int:
     cfg, out, m = _setup(args, pde_grid=True)
     est = pde.front_speed(_front_trace(cfg, m), cfg["pde"]["fit_fraction"])
-    write_json(out / "speed_pde.json", est.to_dict())
+    write_json(out / "speed_pde.json", asdict(est))
     print(f"fitted front speed = {est.value!r} +- {est.err:.3g}")
     return EXIT_OK
 
@@ -309,12 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # refused input: a usage error
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ speed is the minimum of gamma / mu(gamma).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -159,14 +159,8 @@ class MuCurve:
 
     def to_csv(self, path: str | Path) -> Path:
         path = Path(path)
-        meta = {
-            "lambda1_estimate": self.lambda1_estimate,
-            "margin": self.margin,
-            "realization_id": self.realization_id,
-            "X": self.X,
-            "h": self.h,
-            "ode_step": self.ode_step,
-        }
+        meta = asdict(self)
+        del meta["gamma"], meta["mu"]
         lines = ["# " + json.dumps(meta, sort_keys=True), "gamma,mu"]
         lines += [f"{g!r},{u!r}" for g, u in zip(self.gamma, self.mu)]
         path.write_text("\n".join(lines) + "\n")

@@ -33,21 +33,18 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _blake2b(parts, digest_size: int) -> bytes:
+    h = hashlib.blake2b(digest_size=digest_size)
+    for p in parts:
+        h.update(p.encode("utf-8") if isinstance(p, str) else p)
+    return h.digest()
+
+
 def content_hash(*parts) -> str:
     """Hex blake2b digest of a sequence of bytes/str parts."""
-    h = hashlib.blake2b(digest_size=16)
-    for p in parts:
-        if isinstance(p, str):
-            p = p.encode("utf-8")
-        h.update(p)
-    return h.hexdigest()
+    return _blake2b(parts, 16).hex()
 
 
 def content_hash64(*parts) -> int:
     """64-bit integer digest, used for derived realization ids."""
-    h = hashlib.blake2b(digest_size=8)
-    for p in parts:
-        if isinstance(p, str):
-            p = p.encode("utf-8")
-        h.update(p)
-    return int.from_bytes(h.digest(), "little")
+    return int.from_bytes(_blake2b(parts, 8), "little")

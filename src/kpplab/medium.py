@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -146,23 +146,17 @@ _SPEC_KINDS = {
 }
 
 
-def spec_to_dict(spec: EnsembleSpec) -> dict:
-    d = {"kind": spec.kind}
-    for name in spec.__dataclass_fields__:
-        if name == "kind":
-            continue
-        v = getattr(spec, name)
-        d[name] = list(v) if isinstance(v, tuple) else v
-    return d
-
-
 def spec_from_dict(d: dict) -> EnsembleSpec:
+    """Spec of an ``asdict(spec)`` dict; ValueError for a bad kind or params."""
     d = dict(d)
-    kind = d.pop("kind")
+    kind = d.pop("kind", None)
     cls = _SPEC_KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown ensemble kind {kind!r}")
-    return cls(**d)
+    try:
+        return cls(**d)
+    except TypeError as exc:
+        raise ValueError(f"bad {kind} ensemble: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +381,7 @@ def sample_realization(spec: EnsembleSpec, master_seed: int, stream_id: int,
     child_seed = hash64(master_seed, stream_id)
     profile = _build_profile(spec, child_seed, X)
     rid = content_hash64(
-        canonical_json(spec_to_dict(spec)),
+        canonical_json(asdict(spec)),
         canonical_json([int(master_seed), int(stream_id)]),
         np.float64(X).tobytes(), np.float64(h).tobytes(),
     )
@@ -491,7 +485,7 @@ def save_realization(m: MediumRealization, path: str | Path) -> Path:
     path = Path(path)
     path.write_bytes(realization_bytes(m))
     sidecar = {
-        "ensemble": spec_to_dict(m.ensemble) if m.ensemble is not None else None,
+        "ensemble": asdict(m.ensemble) if m.ensemble is not None else None,
         "master_seed": m.master_seed,
         "stream_id": m.stream_id,
         "realization_id": m.realization_id,

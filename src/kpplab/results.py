@@ -1,4 +1,8 @@
-"""Result records, the JSON payload writer and the numerical failure family."""
+"""Result records, the JSON payload writer and the numerical failure family.
+
+A record's payload is its dataclass fields: callers write
+``dataclasses.asdict(record)``.
+"""
 
 from __future__ import annotations
 
@@ -45,12 +49,3 @@ class SpeedEstimate:
             raise ValueError("speed must be positive")
         if self.err < 0:
             raise ValueError("error bar must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "optimizer": self.optimizer,
-            "err": self.err,
-            "provenance": self.provenance,
-        }

@@ -5,14 +5,15 @@ Seeds are paired across parameter values (stream ids 0..S-1 regardless of the
 parameter grid, common random numbers), so monotonicity claims compare the
 same realizations.  "Almost sure" statements become ensemble claims with
 three-valued verdicts: verified, violated, or inconclusive when the
-confidence interval straddles the gate.
+confidence interval straddles the gate.  A suite's report payload is
+``dataclasses.asdict`` of its SuiteReport, verdicts included.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -150,15 +151,10 @@ class Verdict:
     margin: float
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"claim": self.claim, "inequality": self.inequality,
-                "tolerance": self.tolerance, "verdict": self.verdict,
-                "margin": self.margin, "details": self.details}
-
 
 @dataclass
 class SuiteReport:
-    name: str
+    suite: str
     config: dict
     points: list
     verdicts: list[Verdict]
@@ -172,15 +168,9 @@ class SuiteReport:
     def any_violated(self) -> bool:
         return any(v.verdict == "violated" for v in self.verdicts)
 
-    def to_dict(self) -> dict:
-        return {"suite": self.name, "config": self.config,
-                "points": self.points,
-                "verdicts": [v.to_dict() for v in self.verdicts],
-                "manifest_hash": self.manifest_hash}
-
 
 def _ensemble_verdict(claim, inequality, margins, gate, tolerance,
-                      frac_required=1.0, details=None) -> Verdict:
+                      frac_required=1.0) -> Verdict:
     """Three-valued verdict for per-seed margins against a gate.
 
     verified: required fraction of seeds clears the gate; violated: the
@@ -195,8 +185,6 @@ def _ensemble_verdict(claim, inequality, margins, gate, tolerance,
           if margins.size > 1 else 0.0)
     det = {"gate": gate, "fraction_ok": frac, "mean_margin": mean,
            "ci95": ci, "n": int(margins.size)}
-    if details:
-        det.update(details)
     if frac >= frac_required:
         verdict = "verified"
     elif mean - ci > gate:
@@ -252,7 +240,7 @@ def suite_homogenized_bound(config: dict, threads: int = 1) -> SuiteReport:
             "w* - 2*sqrt(mean_c/mean_inv_a) > 3*slack",
             [p["margin"] for p in points], gate=3.0 * slack, tolerance=slack,
             frac_required=0.95))
-    return SuiteReport(name="homogenized_bound", config=config, points=points,
+    return SuiteReport(suite="homogenized_bound", config=config, points=points,
                        verdicts=verdicts)
 
 
@@ -293,7 +281,7 @@ def suite_diffusion_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
         "speed increases with diffusion (constant c)",
         "w*(kappa2 a) > w*(kappa1 a) for kappa2 > kappa1, beyond paired noise",
         _grid_diffs(points, "w", kappas), gate=noise, tolerance=noise))
-    return SuiteReport(name="diffusion_monotonicity", config=config,
+    return SuiteReport(suite="diffusion_monotonicity", config=config,
                        points=points, verdicts=verdicts)
 
 
@@ -346,7 +334,7 @@ def suite_reaction_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
             "strict B-monotonicity for nonconstant c",
             "w* increases across the B grid beyond paired noise",
             b_diffs, gate=noise, tolerance=noise))
-    return SuiteReport(name="reaction_monotonicity", config=config,
+    return SuiteReport(suite="reaction_monotonicity", config=config,
                        points=points, verdicts=verdicts)
 
 
@@ -401,7 +389,7 @@ def suite_scaling_monotonicity(config: dict, threads: int = 1) -> SuiteReport:
             "strict increase for constant a, nonconstant c",
             "w* increases across the L grid beyond paired noise",
             diffs, gate=noise, tolerance=noise))
-    return SuiteReport(name="scaling_monotonicity", config=config,
+    return SuiteReport(suite="scaling_monotonicity", config=config,
                        points=points, verdicts=verdicts)
 
 
@@ -496,7 +484,7 @@ def suite_eigen_properties(config: dict, threads: int = 1,
             "variational attainment (lower side)",
             "(min_theta k_0 - k_p)/k_p >= -1e-6",
             att, gate=-1e-6, tolerance=1e-6))
-    return SuiteReport(name="eigen_properties", config=config, points=points,
+    return SuiteReport(suite="eigen_properties", config=config, points=points,
                        verdicts=verdicts)
 
 
@@ -521,7 +509,7 @@ def run_suite(name: str, config: dict, out_dir: str | Path | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        payload = write_json(out / f"{name}_report.json", report.to_dict())
+        payload = write_json(out / f"{name}_report.json", asdict(report))
         csv_path = out / f"{name}_verdicts.csv"
         lines = ["claim,verdict,margin,tolerance"]
         lines += [f"\"{v.claim}\",{v.verdict},{v.margin!r},{v.tolerance!r}"

@@ -30,24 +30,28 @@ class DegenerateTilt(NumericalFailure, ValueError):
 
 @dataclass(frozen=True)
 class ThetaField:
-    """Mean-zero bounded drift field on the realization grid."""
+    """Mean-zero bounded drift field on the realization grid.
+
+    Raises ValueError unless |mean(theta)| <= 1e-12 * sup_norm.
+    """
 
     theta: np.ndarray
-    mean: float
-    sup_norm: float
 
     def __post_init__(self):
         self.theta.flags.writeable = False
-        if self.sup_norm > 0 and abs(self.mean) > 1e-12 * self.sup_norm:
-            raise ValueError("theta is not mean-zero after projection")
+        if abs(float(np.mean(self.theta))) > 1e-12 * self.sup_norm:
+            raise ValueError("theta is not mean-zero")
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.theta))) if self.theta.size else 0.0
 
     @classmethod
     def from_raw(cls, values: np.ndarray, project: bool = True) -> "ThetaField":
         values = np.asarray(values, dtype=float)
         if project:
             values = values - np.mean(values)
-        return cls(theta=values.copy(), mean=float(np.mean(values)),
-                   sup_norm=float(np.max(np.abs(values))) if values.size else 0.0)
+        return cls(theta=values.copy())
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ def _gradient(m, p, theta, phi):
     return u, ub, grad - np.mean(grad)
 
 
-def minimize_theta(m: med.MediumRealization, p: float, tol: float = 1e-8,
+def minimize_theta(m: med.MediumRealization, p: float,
                    max_iters: int = 600) -> ThetaResult:
     """Projected Newton-CG descent on theta for the variational objective.
 
@@ -121,9 +125,11 @@ def minimize_theta(m: med.MediumRealization, p: float, tol: float = 1e-8,
     Every eigenvalue the descent reaches is certified (``principal_eigen``
     brackets the top eigenvalue), and the Hessian's LDL^T factorization of
     (lam + delta) I - A exists exactly when lam is within delta of it.  A
-    factorization that fails all the same raises NoConvergence.
+    factorization that fails all the same raises NoConvergence.  The
+    descents stop at a gradient sup-norm below 1e-8, and every eigen solve
+    has tolerance 1e-10.
     """
-    eig_tol = min(1e-10, tol)
+    tol, eig_tol = 1e-8, 1e-10
     start = "homogenized"
     theta, lam, grad_norm, iters, solves, stop = _descend(
         m, p, homogenized_theta(m, p).theta, tol, max_iters, eig_tol)

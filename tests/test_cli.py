@@ -8,6 +8,7 @@ from kpplab import freidlin as fr
 from kpplab import medium as med
 from kpplab import operators as ops
 from kpplab import pde
+from kpplab import speedlab as lab
 from kpplab import variational as var
 from kpplab.optimize import BracketFailure
 from kpplab.results import NumericalFailure
@@ -69,9 +70,34 @@ def test_sampling_commands_take_stream(tmp_path, monkeypatch, command):
     assert sampled == expected
 
 
-def test_unknown_config_key_is_rejected_before_any_output(tmp_path):
-    with pytest.raises(ValueError, match="unknown config keys: seed"):
+def test_unknown_config_key_is_rejected_before_any_output(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
         run(tmp_path, "medium", "sample", cfg=write_config(tmp_path, seed=3))
+    assert exc.value.code == 2
+    assert ("kpplab: error: unknown config keys: seed"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,overrides,message", [
+    (["medium", "sample"], {"ensemble": {"kind": "dimer_random", "a_plus": 2}},
+     "bad dimer_random ensemble"),
+    (["medium", "sample"], {"X": 10.0, "h": 0.03}, "is not integral"),
+    (["suite", "diffusion_monotonicity"],
+     {"ensemble": lab.DEFAULT_CONFIG["ensemble"]}, "requires constant c"),
+    (["medium", "sample"], None, "cannot read --config"),
+], ids=["bad_ensemble", "bad_grid", "refused_suite", "missing_config"])
+def test_refused_input_is_a_usage_error(tmp_path, capsys, argv, overrides,
+                                        message):
+    # one usage line and exit code 2, and nothing written; None stands for
+    # a config file that does not exist
+    cfg = (str(tmp_path / "missing.json") if overrides is None
+           else write_config(tmp_path, **overrides))
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv, cfg=cfg)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "kpplab: error: " in err and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -97,6 +123,7 @@ def test_eigen_kp_and_speed(tmp_path, capsys):
 
     assert run(tmp_path, "eigen", "speed", cfg=cfg) == 0
     data = json.loads((tmp_path / "out" / "speed_eigen.json").read_text())
+    assert set(data) == {"value", "method", "err", "optimizer", "provenance"}
     assert abs(data["value"] - 2.0) < 1e-3
     assert kp["realization_id"] == data["provenance"]["realization_id"]
 
@@ -111,7 +138,9 @@ def test_tol_sets_the_eigen_tolerance_of_eigen_speed(tmp_path):
 def test_freidlin_commands(tmp_path):
     cfg = write_config(tmp_path)
     assert run(tmp_path, "freidlin", "mu", "--gamma-count", "5", cfg=cfg) == 0
-    assert (tmp_path / "out" / "mu_curve.csv").exists()
+    header = (tmp_path / "out" / "mu_curve.csv").read_text().splitlines()[0]
+    assert set(json.loads(header[2:])) == {
+        "lambda1_estimate", "margin", "realization_id", "X", "h", "ode_step"}
     assert (tmp_path / "out" / "mu_curve.dat").exists()
     assert run(tmp_path, "freidlin", "speed", cfg=cfg) == 0
     data = json.loads((tmp_path / "out" / "speed_freidlin.json").read_text())

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -366,6 +368,31 @@ def test_replace_and_scale_helpers(tmp_path):
     assert np.array_equal(med.load_realization(path).a_half, tripled.a_half)
     with pytest.raises(ValueError):
         med.scale_a(m, -1.0)
+
+
+def test_realization_ids_are_pinned():
+    # every payload carries these ids; they hash the spec's asdict encoding
+    X, h = 20.0, 0.05
+    const = med.sample_realization(med.ConstantSpec(a0=1.0, c0=1.0),
+                                   MASTER, 3, X, h)
+    dimer = med.sample_realization(dimer_spec(jitter=0.3), MASTER, 3, X, h)
+    trig = med.sample_realization(trig_spec(), MASTER, 3, X, h)
+    assert const.realization_id == 1684605780886412690
+    assert dimer.realization_id == 3863447731438594130
+    assert trig.realization_id == 15633671746954554401
+    assert med.rescale(dimer, 2.0).realization_id == 4551504166651170366
+    assert (med.replace_c(dimer, dimer.c + 0.5, "cshift").realization_id
+            == 18367462092247735629)
+
+
+def test_spec_from_dict_inverts_asdict():
+    for spec in (med.ConstantSpec(a0=1.0, c0=2.0), dimer_spec(jitter=0.3),
+                 trig_spec()):
+        assert med.spec_from_dict(asdict(spec)) == spec
+    with pytest.raises(ValueError, match="bad constant ensemble"):
+        med.spec_from_dict({"kind": "constant", "a0": 1.0})
+    with pytest.raises(ValueError, match="unknown ensemble kind"):
+        med.spec_from_dict({"a0": 1.0, "c0": 1.0})
 
 
 def test_realizations_are_immutable():

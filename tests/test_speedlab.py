@@ -154,6 +154,14 @@ def test_run_suite_writes_reproducible_payloads(tmp_path):
         b1 = (tmp_path / "run1" / name).read_bytes()
         b2 = (tmp_path / "run2" / name).read_bytes()
         assert b1 == b2
+    # the payload keys: the fields of SuiteReport and of Verdict
+    report = json.loads(
+        (tmp_path / "run1" / "eigen_properties_report.json").read_text())
+    assert set(report) == {"suite", "config", "points", "verdicts",
+                           "manifest_hash"}
+    assert report["suite"] == "eigen_properties"
+    assert all(set(v) == {"claim", "inequality", "tolerance", "verdict",
+                          "margin", "details"} for v in report["verdicts"])
     # each seed's descent says why it stopped and where it started
     assert all(p["attainment"]["stop"] in
                ("converged", "stagnated", "max_iters")

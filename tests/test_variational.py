@@ -27,9 +27,12 @@ def test_zero_theta_constant_potential():
 def test_theta_field_projection():
     raw = np.linspace(0.0, 1.0, 100)
     th = var.ThetaField.from_raw(raw)
-    assert abs(th.mean) <= 1e-12 * th.sup_norm
+    assert abs(float(np.mean(th.theta))) <= 1e-12 * th.sup_norm
+    assert th.sup_norm == float(np.max(np.abs(raw - np.mean(raw))))
     with pytest.raises(ValueError):
-        var.ThetaField(theta=raw.copy(), mean=0.5, sup_norm=1.0)
+        var.ThetaField(theta=raw.copy())
+    with pytest.raises(ValueError):
+        var.ThetaField(theta=np.ones(10))
 
 
 def test_objective_upper_bounds_direct_eigenvalue(rng):
