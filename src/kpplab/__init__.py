@@ -41,7 +41,6 @@ from .operators import (
 from .freidlin import (
     GammaBelowThreshold,
     MuCurve,
-    StepTooCoarse,
     mu_curve,
     riccati_mu,
     speed_freidlin,

@@ -43,6 +43,8 @@ def _load_config(args) -> dict:
         except OSError as exc:
             raise ValueError(f"cannot read --config: {exc}") from None
         overrides = json.loads(text)
+        if not isinstance(overrides, dict):
+            raise ValueError("--config must hold a JSON object")
     cfg = lab.make_config(**overrides)
     if args.seed is not None:
         cfg["master_seed"] = args.seed
@@ -213,7 +215,10 @@ def cmd_suite(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_id)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read the run's manifest: {exc}") from None
     print(f"run {manifest['run_key']} (tool {manifest['tool_version']})")
     print(f"  started  {manifest['started_at']}")
     print(f"  finished {manifest['finished_at']}")

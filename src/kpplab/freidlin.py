@@ -28,10 +28,6 @@ class GammaBelowThreshold(NumericalFailure, ValueError):
     """gamma too low: below Lambda_1 + margin or not above max c."""
 
 
-class StepTooCoarse(NumericalFailure, RuntimeError):
-    """ode_step wider than the grid spacing h: a cell skips field detail."""
-
-
 def default_margin(lambda1: float) -> float:
     return 0.05 * abs(lambda1) + 1e-3
 
@@ -47,22 +43,21 @@ def _lambda1(m: med.MediumRealization, tol: float = 1e-8) -> float:
     return ops.k_p(m, 0.0, tol=tol).lam
 
 
-def _cell_fields(m: med.MediumRealization, ode_step: float):
-    """Cell width and a, c at the midpoints of the ceil(X / ode_step) cells."""
-    n = int(np.ceil(m.X / ode_step))
+def _cell_fields(m: med.MediumRealization):
+    """Cell width and a, c at the midpoints of the ceil(X / (h/2)) cells."""
+    n = int(np.ceil(m.X / (m.h / 2.0)))
     step = m.X / n
     xs = step * (np.arange(n) + 0.5)
     return step, *med.fields_at(m, xs)
 
 
 def riccati_mu(m: med.MediumRealization, gamma: float,
-               ode_step: float | None = None,
                lambda1_estimate: float | None = None,
                cells=None) -> float:
     """Lyapunov exponent mu(gamma) from the transfer-matrix product.
 
-    The window is split into n = ceil(X / ode_step) cells (default ode_step
-    h/2) with a and c frozen at each cell midpoint.  A cell of width s maps
+    The window is split into n = ceil(X / (h/2)) cells, at most h/2 wide,
+    with a and c frozen at each cell midpoint.  A cell of width s maps
     (phi, a phi') by the exact propagator
 
         [[cosh ks, sinh ks / (a k)], [a k sinh ks, cosh ks]]
@@ -73,17 +68,10 @@ def riccati_mu(m: med.MediumRealization, gamma: float,
     float range stay finite.  mu = log rho(P) / X, rho the spectral
     radius of the one-period product P; the determinant is 1, so the growing
     and the decaying solutions share the rate.  Requires gamma > Lambda_1 +
-    margin and gamma > max c (GammaBelowThreshold otherwise), and
-    ode_step <= h (StepTooCoarse otherwise).  A caller that evaluates
-    several gamma passes the samples ``_cell_fields(m, ode_step)`` as cells,
-    so the fields are sampled once, not once per gamma.
+    margin and gamma > max c (GammaBelowThreshold otherwise).  A caller
+    that evaluates several gamma passes the samples ``_cell_fields(m)`` as
+    cells, so the fields are sampled once, not once per gamma.
     """
-    if ode_step is None:
-        ode_step = m.h / 2.0
-    if ode_step <= 0:
-        raise ValueError("ode_step must be positive")
-    if ode_step > m.h:
-        raise StepTooCoarse(f"ode_step {ode_step:g} > grid spacing h={m.h:g}")
     lam1 = _lambda1(m) if lambda1_estimate is None else lambda1_estimate
     margin = default_margin(lam1)
     if gamma <= lam1 + margin:
@@ -94,7 +82,7 @@ def riccati_mu(m: med.MediumRealization, gamma: float,
         raise GammaBelowThreshold(
             f"gamma={gamma:g} <= max c = {c_max:g}: cells would oscillate")
 
-    step, a, c = _cell_fields(m, ode_step) if cells is None else cells
+    step, a, c = _cell_fields(m) if cells is None else cells
     k = np.sqrt((gamma - c) / a)
     cosh, sinh = np.cosh(k * step), np.sinh(k * step)
     (p00, p01, p10, p11), log_scale = _tree_product(
@@ -147,7 +135,7 @@ class MuCurve:
     realization_id: int
     X: float
     h: float
-    ode_step: float
+    ode_step: float  # h/2, the cells' nominal width
 
     def __post_init__(self):
         self.gamma.flags.writeable = False
@@ -171,14 +159,13 @@ def mu_curve(m: med.MediumRealization, gammas,
              lambda1_estimate: float | None = None) -> MuCurve:
     """mu(gamma) on the given grid; Lambda_1 is solved unless it is given."""
     lam1 = _lambda1(m) if lambda1_estimate is None else lambda1_estimate
-    ode_step = m.h / 2.0
-    cells = _cell_fields(m, ode_step)
+    cells = _cell_fields(m)
     gammas = np.asarray(sorted(float(g) for g in gammas))
-    mus = np.array([riccati_mu(m, g, ode_step, lambda1_estimate=lam1,
-                               cells=cells) for g in gammas])
+    mus = np.array([riccati_mu(m, g, lambda1_estimate=lam1, cells=cells)
+                    for g in gammas])
     return MuCurve(gamma=gammas, mu=mus, lambda1_estimate=lam1,
                    margin=default_margin(lam1), realization_id=m.realization_id,
-                   X=m.X, h=m.h, ode_step=ode_step)
+                   X=m.X, h=m.h, ode_step=m.h / 2.0)
 
 
 def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate:
@@ -196,16 +183,15 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate
     exclusion boundary.
     """
     lam1 = _lambda1(m)
-    ode_step = m.h / 2.0
     gamma_lo = gamma_floor(m, lam1)
     x_lo = gamma_lo - lam1
-    cells = _cell_fields(m, ode_step)
+    cells = _cell_fields(m)
 
     # one mu is a single product, with nothing to stop early: the ceiling
     # minimize_log passes is ignored, and every value is exact
     def g(x: float, ceiling: float) -> float:
         gamma = lam1 + x
-        return gamma / riccati_mu(m, gamma, ode_step, lambda1_estimate=lam1,
+        return gamma / riccati_mu(m, gamma, lambda1_estimate=lam1,
                                   cells=cells)
 
     x_star, w, evals, spread = minimize_log(
@@ -218,7 +204,7 @@ def speed_freidlin(m: med.MediumRealization, tol: float = 1e-4) -> SpeedEstimate
         value=w, method="freidlin", optimizer=gamma_star, err=err,
         provenance={
             "realization_id": m.realization_id, "X": m.X, "h": m.h,
-            "tol": tol, "ode_step": ode_step, "mu_star": mu_star,
+            "tol": tol, "ode_step": m.h / 2.0, "mu_star": mu_star,
             "lambda1_estimate": lam1, "gamma_lo": gamma_lo,
             "evals": len(evals),
             "bracket_at_exclusion_boundary": bool(at_boundary),

@@ -34,6 +34,8 @@ from .optimize import minimize_log
 from .results import NumericalFailure, SpeedEstimate
 from .tridiag import ShiftedCyclicSolver, ShiftedSPDCyclicSolver
 
+MAX_ITERS = 5000  # shifted solves one principal_eigen call may make
+
 
 class PositivityViolation(NumericalFailure, ValueError):
     """Tilt too large for the grid: an off-diagonal entry would be <= 0."""
@@ -42,9 +44,6 @@ class PositivityViolation(NumericalFailure, ValueError):
         super().__init__(
             f"off-diagonal positivity fails at row {row}: need h*|p| < 1, "
             f"got h={h:g}, p={p:g}")
-        self.p = p
-        self.h = h
-        self.row = row
 
 
 class NoConvergence(NumericalFailure, RuntimeError):
@@ -140,8 +139,7 @@ class EigenResult:
 def _assemble(m: med.MediumRealization, p: float, zero_order: np.ndarray) -> DiscreteOperator:
     h = m.h
     if h * abs(p) >= 1.0:
-        row = 0
-        raise PositivityViolation(p, h, row)
+        raise PositivityViolation(p, h, 0)
     inv_h2 = 1.0 / (h * h)
     tilt = p / h
     ah_r = m.a_half                # a at i + 1/2
@@ -183,7 +181,7 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
-                    max_iters: int = 5000, v0: np.ndarray | None = None,
+                    v0: np.ndarray | None = None,
                     ceiling: float = np.inf) -> EigenResult:
     """Principal (Perron) eigenvalue and positive eigenfunction.
 
@@ -234,7 +232,7 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
       rounding-level sign flip in a localized x, is caught at that test;
     * a closed bracket whose lam lies outside the Collatz-Wielandt interval
       of v.
-    So does spending max_iters solves.
+    So does spending MAX_ITERS solves.
 
     The solver and the buffers of x and A x are built at the first test,
     once per call: a solve that its start bounds already settle makes none.
@@ -304,8 +302,8 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
             resid = float(np.max(tmp))
             if resid < tol_eff:
                 break
-        if iters == max_iters:
-            raise NoConvergence(max_iters, resid)
+        if iters == MAX_ITERS:
+            raise NoConvergence(iters, resid)
         if solver is None:
             solver = (ShiftedSPDCyclicSolver(op.diag, op.sup) if symmetric
                       else ShiftedCyclicSolver(op.sub, op.diag, op.sup))

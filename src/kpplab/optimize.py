@@ -20,9 +20,6 @@ class BracketFailure(NumericalFailure, RuntimeError):
             f"no interior minimum bracketed in [{lo:g}, {hi:g}] "
             f"after {expansions} expansions"
         )
-        self.lo = lo
-        self.hi = hi
-        self.expansions = expansions
 
 
 def minimize_log(f, lo: float, hi: float, rel_tol: float, floor: float = 0.0):

@@ -81,8 +81,6 @@ class CFLViolation(NumericalFailure, ValueError):
 
     def __init__(self, dt: float, dt_max: float):
         super().__init__(f"dt={dt:g} exceeds reaction CFL bound {dt_max:g}")
-        self.dt = dt
-        self.dt_max = dt_max
 
 
 class FrontEscaped(NumericalFailure, RuntimeError):
@@ -90,7 +88,6 @@ class FrontEscaped(NumericalFailure, RuntimeError):
 
     def __init__(self, t_reached: float):
         super().__init__(f"front reached 0.9 X at t={t_reached:g}")
-        self.t_reached = t_reached
 
 
 class TooFewSnapshots(NumericalFailure, ValueError):
@@ -203,9 +200,10 @@ def _held_edge(u: np.ndarray, lo: int, j: int) -> int:
 
 
 def simulate(m: med.MediumRealization, f: ReactionSpec, T: float,
-             dt: float | None = None, snapshot_every: float = 1.0,
+             dt: float, snapshot_every: float = 1.0,
              keep_final: bool = False):
-    """Integrate the front problem to time T and record the front trace.
+    """Integrate the front problem to time T in steps of dt (CFLViolation
+    above 0.5 / max c) and record the front trace.
 
     Aborts with FrontEscaped before the front reaches 0.9 X.  With
     keep_final=True returns (trace, u_final) for level probing.
@@ -215,8 +213,6 @@ def simulate(m: med.MediumRealization, f: ReactionSpec, T: float,
         raise ValueError("effective reaction rate must be nonnegative (KPP)")
     rate_max = float(np.max(rate))
     dt_max = 0.5 / rate_max if rate_max > 0 else np.inf
-    if dt is None:
-        dt = min(0.5 * dt_max, snapshot_every)
     if dt > dt_max:
         raise CFLViolation(dt, dt_max)
 
@@ -320,7 +316,7 @@ def front_speed(trace: FrontTrace, fit_fraction: float = 0.5) -> SpeedEstimate:
 
 
 def dichotomy_check(m: med.MediumRealization, f: ReactionSpec, w_star: float,
-                    deltas, T: float, dt: float | None = None) -> list[dict]:
+                    deltas, T: float, dt: float) -> list[dict]:
     """Probe the spreading dichotomy at time T.
 
     For each delta > 0, report u(T, (1-delta) w* T) (should be near 1) and

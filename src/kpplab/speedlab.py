@@ -51,12 +51,32 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+def _check_type(key: str, value, default) -> None:
+    """Refuse a value whose type differs from its default's: an integer, a
+    number (a bool is neither), a list of numbers or an object."""
+    def number(v, kind=(int, float)) -> bool:
+        return isinstance(v, kind) and not isinstance(v, bool)
+
+    if isinstance(default, dict):
+        ok, kind = isinstance(value, dict), "an object"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(map(number, value))
+        kind = "a list of numbers"
+    elif isinstance(default, int):
+        ok, kind = number(value, int), "an integer"
+    else:
+        ok, kind = number(value), "a number"
+    if not ok:
+        raise ValueError(f"config key {key} must be {kind}, got {value!r}")
+
+
 def make_config(**overrides) -> dict:
     """DEFAULT_CONFIG with overrides; a ``pde`` dict merges into its defaults.
 
     Raises ValueError naming any key DEFAULT_CONFIG does not have (at the
     top level or in ``pde``), so that a misspelt key cannot run silently on
-    its default, and for ``seeds`` below 1.
+    its default, or any value of another type than its default's, and for
+    ``seeds`` below 1.
     """
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     unknown = sorted(set(overrides) - set(cfg))
@@ -66,10 +86,10 @@ def make_config(**overrides) -> dict:
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for k, v in overrides.items():
-        if k == "pde" and isinstance(v, dict):
-            cfg["pde"].update(v)
-        else:
-            cfg[k] = v
+        _check_type(k, v, cfg[k])
+        cfg[k] = {**cfg[k], **v} if k == "pde" else v
+    for k, v in cfg["pde"].items():
+        _check_type(f"pde.{k}", v, DEFAULT_CONFIG["pde"][k])
     if cfg["seeds"] < 1:
         raise ValueError(f"seeds must be at least 1, got {cfg['seeds']!r}")
     return cfg

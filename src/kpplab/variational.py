@@ -117,10 +117,11 @@ def minimize_theta(m: med.MediumRealization, p: float,
     eigenfunctions, with the steps left of max_iters; of the two results
     the one with the lower eigenvalue is returned, and ``start`` names
     where its descent began.  A closed form that raises DegenerateTilt
-    keeps the first result.  ``iters`` counts the accepted Newton steps of
-    both descents and ``solves`` every eigen solve made, the closed form's
-    three and the direct k_p included; after a restart the closed form's
-    cold +p solve is the direct k_p.
+    keeps the first result.  The direct k_p, a cold +p solve, is made once,
+    before the descent, and the closed form reuses it.  ``iters`` counts
+    the accepted Newton steps of both descents and ``solves`` every eigen
+    solve made: the direct k_p, the closed form's k_0 and -p solves, and
+    those of both descents.
 
     Every eigenvalue the descent reaches is certified (``principal_eigen``
     brackets the top eigenvalue), and the Hessian's LDL^T factorization of
@@ -130,27 +131,25 @@ def minimize_theta(m: med.MediumRealization, p: float,
     has tolerance 1e-10.
     """
     tol, eig_tol = 1e-8, 1e-10
+    kp = ops.k_p(m, p, tol=eig_tol)
     start = "homogenized"
     theta, lam, grad_norm, iters, solves, stop = _descend(
         m, p, homogenized_theta(m, p).theta, tol, max_iters, eig_tol)
-    kp = None
+    solves += 1  # k_p
     if stop != "converged":
         try:
-            closed, kp = _closed_form(m, p, eig_tol)
+            closed = _closed_form(m, p, kp, eig_tol)
         except DegenerateTilt:
-            solves += 2  # k_p and k_0
+            solves += 1  # k_0
         else:
             c_theta, c_lam, c_grad, c_iters, c_solves, c_stop = _descend(
                 m, p, closed.theta, tol, max_iters - iters, eig_tol)
             iters += c_iters
-            solves += 3 + c_solves
+            solves += 2 + c_solves
             if c_lam < lam:
                 theta, lam, grad_norm, stop = c_theta, c_lam, c_grad, c_stop
                 start = "closed_form"
     field = ThetaField.from_raw(theta, project=True)
-    if kp is None:
-        kp = ops.k_p(m, p, tol=eig_tol)
-        solves += 1
     return ThetaResult(theta=field, k0_value=lam, grad_norm=grad_norm,
                        iters=iters, kp_direct=kp.lam,
                        gap_vs_direct=lam - kp.lam,
@@ -317,12 +316,11 @@ def theta_closed_form(m: med.MediumRealization, p: float,
     k_p > k_0 + 10*tol (away from the degenerate flat piece of p -> k_p,
     where the minimizer comes from a scaling argument instead).
     """
-    return _closed_form(m, p, tol)[0]
+    return _closed_form(m, p, ops.k_p(m, p, tol=tol), tol)
 
 
-def _closed_form(m, p, tol):
-    """theta_closed_form's field, and its cold +p solve, the direct k_p."""
-    kp = ops.k_p(m, p, tol=tol)
+def _closed_form(m, p, kp, tol):
+    """theta_closed_form's field from kp, the cold +p solve at tol."""
     k0 = ops.k_p(m, 0.0, tol=tol)
     if not kp.lam > k0.lam + 10.0 * tol:
         raise DegenerateTilt(
@@ -333,7 +331,7 @@ def _closed_form(m, p, tol):
     two_h = 2.0 * m.h
     dlog_phi = (np.roll(log_phi, -1) - np.roll(log_phi, 1)) / two_h
     dlog_psi = (np.roll(log_psi, -1) - np.roll(log_psi, 1)) / two_h
-    return ThetaField.from_raw(0.5 * (-dlog_phi + dlog_psi), project=True), kp
+    return ThetaField.from_raw(0.5 * (-dlog_phi + dlog_psi), project=True)
 
 
 def homogenized_theta(m: med.MediumRealization, p: float) -> ThetaField:

@@ -102,7 +102,7 @@ def test_criterion_04_legendre_duality():
         k0 = ops.k_p(m, 0.0, tol=1e-10).lam
         for p in (0.8, 1.0, 1.2, 1.5, 1.8):
             kp = ops.k_p(m, p, tol=1e-10).lam
-            mu = fr.riccati_mu(m, kp, ode_step=0.005, lambda1_estimate=k0)
+            mu = fr.riccati_mu(m, kp, lambda1_estimate=k0)
             worst = max(worst, abs(mu - p))
     _report(4, f"Legendre duality, worst |mu(k_p) - p| = {worst:.2e} <= 2e-3",
             worst <= 2e-3)

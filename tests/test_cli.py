@@ -86,13 +86,35 @@ def test_unknown_config_key_is_rejected_before_any_output(tmp_path, capsys):
     (["suite", "diffusion_monotonicity"],
      {"ensemble": lab.DEFAULT_CONFIG["ensemble"]}, "requires constant c"),
     (["medium", "sample"], None, "cannot read --config"),
-], ids=["bad_ensemble", "bad_grid", "refused_suite", "missing_config"])
+    (["medium", "sample"], "[1]", "--config must hold a JSON object"),
+    (["medium", "sample"], {"X": "40"}, "config key X must be a number"),
+    (["suite", "homogenized_bound"], {"seeds": 2.5},
+     "config key seeds must be an integer"),
+    (["medium", "sample"], {"seeds": True},
+     "config key seeds must be an integer"),
+    (["medium", "sample"], {"master_seed": 7.5},
+     "config key master_seed must be an integer"),
+    (["medium", "sample"], {"ensemble": "dimer"},
+     "config key ensemble must be an object"),
+    (["medium", "sample"], {"kappa_grid": [1.0, "2"]},
+     "config key kappa_grid must be a list of numbers"),
+    (["medium", "sample"], {"pde": {"dt": "0.05"}},
+     "config key pde.dt must be a number"),
+], ids=["bad_ensemble", "bad_grid", "refused_suite", "missing_config",
+        "not_an_object", "string_X", "float_seeds", "bool_seeds",
+        "float_master_seed", "string_ensemble", "string_in_grid",
+        "string_pde_value"])
 def test_refused_input_is_a_usage_error(tmp_path, capsys, argv, overrides,
                                         message):
     # one usage line and exit code 2, and nothing written; None stands for
-    # a config file that does not exist
-    cfg = (str(tmp_path / "missing.json") if overrides is None
-           else write_config(tmp_path, **overrides))
+    # a config file that does not exist, a string for the file's whole text
+    if overrides is None:
+        cfg = str(tmp_path / "missing.json")
+    elif isinstance(overrides, str):
+        (tmp_path / "config.json").write_text(overrides)
+        cfg = str(tmp_path / "config.json")
+    else:
+        cfg = write_config(tmp_path, **overrides)
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, *argv, cfg=cfg)
     assert exc.value.code == 2
@@ -216,6 +238,41 @@ def test_suite_and_report(tmp_path, capsys):
     assert "OPENBLAS_NUM_THREADS" in out
 
 
+def test_report_without_a_manifest_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "report", str(tmp_path / "nothing"))
+    assert exc.value.code == 2
+    assert ("kpplab: error: cannot read the run's manifest"
+            in capsys.readouterr().err)
+
+
+def stub_suite(verdict):
+    """A suite that returns one verdict of the given kind."""
+    def suite(config, threads=1):
+        return lab.SuiteReport(suite="stub", config=config, points=[],
+                               verdicts=[lab.Verdict("claim", "margin > 0",
+                                                     0.0, verdict, 0.0)])
+    return suite
+
+
+@pytest.mark.parametrize("verdict,code", [("violated", 2),
+                                          ("inconclusive", 3)])
+def test_suite_exit_code_follows_its_verdict(tmp_path, capsys, monkeypatch,
+                                             verdict, code):
+    monkeypatch.setitem(lab.SUITES, "stub", stub_suite(verdict))
+    assert run(tmp_path, "suite", "stub", cfg=write_config(tmp_path)) == code
+    assert f"[{verdict:>12}] claim: " in capsys.readouterr().out
+
+
+def test_seed_overrides_the_master_seed(tmp_path, monkeypatch):
+    monkeypatch.setitem(lab.SUITES, "stub", stub_suite("verified"))
+    assert run(tmp_path, "--seed", "123", "suite", "stub",
+               cfg=write_config(tmp_path, master_seed=7)) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["master_seed"] == 123
+    assert manifest["config"]["master_seed"] == 123
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
     with pytest.raises(SystemExit) as exc:
@@ -239,7 +296,6 @@ def test_numerical_failure_family():
                       (ops.PositivityViolation, ValueError),
                       (BracketFailure, RuntimeError),
                       (fr.GammaBelowThreshold, ValueError),
-                      (fr.StepTooCoarse, RuntimeError),
                       (pde.CFLViolation, ValueError),
                       (pde.FrontEscaped, RuntimeError),
                       (pde.TooFewSnapshots, ValueError),

@@ -22,13 +22,6 @@ def test_mu_long_window_does_not_overflow():
     assert abs(fr.riccati_mu(m, 26.0) - 5.0) <= 1e-6
 
 
-def test_mu_odd_cell_count():
-    # 2513 cells: the tree reduction carries an odd leftover on several levels
-    m = constant_medium(a0=1.0, c0=1.0, X=50.0, h=0.02)
-    assert int(np.ceil(m.X / 0.0199)) % 2 == 1
-    assert abs(fr.riccati_mu(m, 2.0, ode_step=0.0199) - 1.0) <= 1e-6
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 37])
 def test_tree_product_matches_sequential_product(n):
     # the entrywise tree product against M[n-1] ... M[0] formed one matrix at
@@ -57,18 +50,11 @@ def test_gamma_below_threshold():
         fr.riccati_mu(d, gamma)
 
 
-def test_step_too_coarse():
-    m = dimer_medium(X=50.0, h=0.02, c_plus=5.0, c_minus=0.1, eps=0.2,
-                     jitter=0.3)
-    with pytest.raises(fr.StepTooCoarse):
-        fr.riccati_mu(m, 6.0, ode_step=2.0)
-
-
 def test_duality_with_eigenvalues():
     m = dimer_medium(X=200.0, h=0.01, eps=0.2, jitter=0.3)
     for p in (0.8, 1.2, 1.8):
         kp = ops.k_p(m, p, tol=1e-10).lam
-        mu = fr.riccati_mu(m, kp, ode_step=0.005)
+        mu = fr.riccati_mu(m, kp)
         assert abs(mu - p) <= 2e-3
 
 
@@ -157,7 +143,6 @@ def test_mu_seed_spread_shrinks_with_window():
         vals = []
         for s in range(32):
             m = med.sample_realization(spec, MASTER, s, X, 0.02)
-            vals.append(fr.riccati_mu(m, 2.5, ode_step=0.02,
-                                      lambda1_estimate=1.1))
+            vals.append(fr.riccati_mu(m, 2.5, lambda1_estimate=1.1))
         spreads[X] = np.std(vals) / np.mean(vals)
     assert spreads[100.0] < spreads[50.0]

@@ -688,8 +688,9 @@ def test_eigenresult_serializes():
     assert "phi" not in d
 
 
-def test_no_convergence_error():
+def test_no_convergence_error(monkeypatch):
     m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
     op = ops.assemble_tilted(m, 1.0)
+    monkeypatch.setattr(ops, "MAX_ITERS", 2)
     with pytest.raises(ops.NoConvergence):
-        ops.principal_eigen(op, tol=1e-10, max_iters=2)
+        ops.principal_eigen(op, tol=1e-10)

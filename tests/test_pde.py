@@ -229,4 +229,4 @@ def test_dichotomy_homogeneous():
     assert by_delta[0.0]["inside_ok"] is None
     with pytest.raises(pde.FrontEscaped):
         pde.dichotomy_check(m, pde.ReactionSpec("logistic_c"), 2.0, [0.2],
-                            T=400.0)
+                            T=400.0, dt=0.1)

@@ -245,3 +245,17 @@ def test_statistical_slack_values():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         lab.run_suite("nope", small_config())
+
+
+@pytest.mark.parametrize("margins,verdict", [
+    ([1.0, 2.0], "verified"),
+    ([-0.1] + [1.0] * 9, "inconclusive"),  # a seed fails, the mean clears
+    ([-1.0, -1.1, -0.9], "violated"),
+    ([-1.0, 1.0], "inconclusive"),  # the CI straddles the gate
+], ids=["verified", "seed_fails_mean_clears", "violated", "ci_straddles"])
+def test_ensemble_verdict_outcomes(margins, verdict):
+    v = lab._ensemble_verdict("claim", "margin > 0", margins, gate=0.0,
+                              tolerance=0.0)
+    assert v.verdict == verdict
+    assert v.margin == float(np.mean(margins))
+    assert v.details["fraction_ok"] == float(np.mean(np.array(margins) > 0))

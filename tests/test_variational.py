@@ -168,6 +168,38 @@ def test_restart_solves_k_p_at_plus_p_once(monkeypatch):
     assert res.kp_direct == ops.k_p(m, p, tol=1e-10).lam
 
 
+def test_degenerate_closed_form_solves_k_p_at_plus_p_once(monkeypatch):
+    # at a tilt this small the restart's closed form raises DegenerateTilt
+    # and the first descent stands; its direct k_p is solved once, before
+    # the descent, and the closed form adds only k_0
+    m = dimer_medium(X=50.0, h=0.01)
+    p = 1e-6
+    descend = var._descend
+    descents = []
+
+    def stagnating(*args):
+        *out, _ = descend(*args)
+        descents.append(out[4])
+        return (*out, "stagnated")
+
+    cold = []
+    k_p = ops.k_p
+
+    def counting(m, q, tol=1e-8, v0=None, ceiling=float("inf")):
+        if v0 is None:
+            cold.append(q)
+        return k_p(m, q, tol=tol, v0=v0, ceiling=ceiling)
+
+    monkeypatch.setattr(var, "_descend", stagnating)
+    monkeypatch.setattr(ops, "k_p", counting)
+    res = var.minimize_theta(m, p, max_iters=300)
+    monkeypatch.undo()
+    assert (res.stop, res.start) == ("stagnated", "homogenized")
+    assert cold == [p, 0.0]
+    assert res.solves == descents[0] + 2
+    assert res.kp_direct == ops.k_p(m, p, tol=1e-10).lam
+
+
 def test_line_search_rejects_trials_at_their_armijo_ceiling(monkeypatch):
     # a step far past the minimum: each rejected trial stops once a
     # certified lower bound puts its top eigenvalue above the Armijo value
