@@ -217,16 +217,20 @@ def cmd_report(args) -> int:
     run_dir = Path(args.run_id)
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text())
+        lines = [f"run {manifest['run_key']} (tool {manifest['tool_version']})",
+                 f"  started  {manifest['started_at']}",
+                 f"  finished {manifest['finished_at']}",
+                 f"  master_seed {manifest['master_seed']}"]
+        lines += [f"  {key} {value}"
+                  for key, value in manifest.get("environment", {}).items()]
+        lines += [f"  output {rec['path']}  sha {rec['sha']}"
+                  for rec in manifest["outputs"]]
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read the run's manifest: {exc}") from None
-    print(f"run {manifest['run_key']} (tool {manifest['tool_version']})")
-    print(f"  started  {manifest['started_at']}")
-    print(f"  finished {manifest['finished_at']}")
-    print(f"  master_seed {manifest['master_seed']}")
-    for key, value in manifest.get("environment", {}).items():
-        print(f"  {key} {value}")
-    for rec in manifest["outputs"]:
-        print(f"  output {rec['path']}  sha {rec['sha']}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("cannot read the run's manifest: it lacks a field "
+                         f"({type(exc).__name__}: {exc})") from None
+    print("\n".join(lines))
     for path in sorted(run_dir.glob("*_report.json")):
         data = json.loads(path.read_text())
         print(f"  suite {data['suite']}:")

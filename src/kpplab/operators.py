@@ -25,6 +25,8 @@ Perron root with positive eigenvector.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +49,17 @@ class PositivityViolation(NumericalFailure, ValueError):
 
 
 class NoConvergence(NumericalFailure, RuntimeError):
-    """Eigen-solver iteration budget exhausted."""
+    """A solve met a contradiction or spent its iteration budget.
 
-    def __init__(self, max_iters: int, residual: float):
+    ``iters`` counts the iterations made when it was raised: a Perron
+    solve's shifted solves, or a drift descent's steps.
+    """
+
+    def __init__(self, iters: int, residual: float):
         super().__init__(
-            f"no convergence after {max_iters} iterations "
+            f"no convergence after {iters} iterations "
             f"(last residual {residual:.3e})")
-        self.max_iters = max_iters
-        self.residual = residual
+        self.iters = iters
 
 
 class AboveCeiling(Exception):
@@ -136,22 +141,50 @@ class EigenResult:
         }
 
 
-def _assemble(m: med.MediumRealization, p: float, zero_order: np.ndarray) -> DiscreteOperator:
+def _flux_r(m: med.MediumRealization) -> np.ndarray:
+    """a_half[i+1/2] / h^2, the one part of the matrix that no tilt changes."""
+    return m.a_half * (1.0 / (m.h * m.h))
+
+
+def _shift_into(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = src[i-1], cyclically: np.roll(src, 1) without the copy."""
+    out[1:] = src[:-1]
+    out[0] = src[-1]
+    return out
+
+
+def _assemble_into(m: med.MediumRealization, flux_r: np.ndarray, p: float,
+                   zero_order: np.ndarray, sub: np.ndarray, diag: np.ndarray,
+                   sup: np.ndarray, tmp: np.ndarray) -> DiscreteOperator:
+    """Write the rows of the module docstring into sub, diag and sup, using
+    tmp as scratch; flux_r is _flux_r(m).
+
+    Each entry is rounded as flux_l + (p/h) a_half[i-1/2],
+    flux_r - (p/h) a_half[i+1/2] and (-(flux_l + flux_r) + p^2 a) +
+    zero_order, with flux_l[i] = flux_r[i-1], so buffers written over hold
+    the same bits as fresh ones.
+    """
     h = m.h
     if h * abs(p) >= 1.0:
         raise PositivityViolation(p, h, 0)
-    inv_h2 = 1.0 / (h * h)
     tilt = p / h
-    ah_r = m.a_half                # a at i + 1/2
-    ah_l = np.roll(m.a_half, 1)    # a at i - 1/2
-    flux_l = ah_l * inv_h2
-    flux_r = ah_r * inv_h2
-    sub = flux_l + tilt * ah_l
-    sup = flux_r - tilt * ah_r
+    flux_l = _shift_into(flux_r, diag)
+    np.multiply(tilt, _shift_into(m.a_half, tmp), out=sub)  # a at i - 1/2
+    np.add(flux_l, sub, out=sub)
+    np.multiply(tilt, m.a_half, out=sup)
+    np.subtract(flux_r, sup, out=sup)
     # the diagonal reuses the rounded flux terms so that row sums vanish
     # exactly (in floating point) when p = 0 and the zero-order term is 0
-    diag = -(flux_l + flux_r) + (p * p) * m.a + zero_order
+    np.add(flux_l, flux_r, out=diag)
+    np.negative(diag, out=diag)
+    np.add(diag, np.multiply(p * p, m.a, out=tmp), out=diag)
+    np.add(diag, zero_order, out=diag)
     return DiscreteOperator(N=m.N, h=h, sub=sub, diag=diag, sup=sup, p=p)
+
+
+def _assemble(m: med.MediumRealization, p: float, zero_order: np.ndarray) -> DiscreteOperator:
+    return _assemble_into(m, _flux_r(m), p, zero_order, np.empty(m.N),
+                          np.empty(m.N), np.empty(m.N), np.empty(m.N))
 
 
 def assemble_tilted(m: med.MediumRealization, p: float) -> DiscreteOperator:
@@ -180,9 +213,84 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
+class Workspace:
+    """The buffers of Perron solves on one matrix's diagonals, kept from one
+    solve to the next.
+
+    The sweep's vectors: the iterate v, A v and a scratch vector; and, built
+    at the first test, the shifted solver of the diagonals (one per kind,
+    tilted or symmetric) with its LAPACK buffers, and a test's x and A x.
+    A solve overwrites them all, so the ``phi`` of an earlier solve through
+    the same workspace changes.  A workspace serves one thread at a time.
+    """
+
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
+        n = diag.shape[0]
+        self.sub, self.diag, self.sup = sub, diag, sup
+        self.v, self.av, self.tmp = np.empty(n), np.empty(n), np.empty(n)
+        self.x = self.ax = None
+        self._solvers = {}
+
+    def solver(self, symmetric: bool):
+        """The shifted solver of the diagonals, built at its first use."""
+        solver = self._solvers.get(symmetric)
+        if solver is None:
+            solver = self._solvers[symmetric] = (
+                ShiftedSPDCyclicSolver(self.diag, self.sup) if symmetric
+                else ShiftedCyclicSolver(self.sub, self.diag, self.sup))
+            if self.x is None:
+                self.x, self.ax = np.empty_like(self.v), np.empty_like(self.v)
+        return solver
+
+
+class TiltWorkspace(Workspace):
+    """A Workspace that owns its diagonals and assembles the tilted matrices
+    of one medium into them.
+
+    It keeps flux_r, the part of the matrix that no tilt changes, and
+    ``operator(p)`` writes the matrix of L_p over the previous tilt's, bit
+    for bit assemble_tilted's, through the scratch vector.  The other
+    p-independent parts (a at i - 1/2, flux_l and -(flux_l + flux_r)) are
+    rebuilt on each tilt by slice shifts rather than kept, so a search
+    holds no more vectors than its solves need.  One speed search, or one
+    k_p curve, owns one for as long as it runs.
+    """
+
+    def __init__(self, m: med.MediumRealization):
+        super().__init__(np.empty(m.N), np.empty(m.N), np.empty(m.N))
+        self.m = m
+        self._flux_r = _flux_r(m)
+
+    def operator(self, p: float) -> DiscreteOperator:
+        """The matrix of L_p, in this workspace's diagonals."""
+        for arr in (self.sub, self.diag, self.sup):
+            arr.flags.writeable = True  # the last tilt's operator froze them
+        return _assemble_into(self.m, self._flux_r, p, self.m.c, self.sub,
+                              self.diag, self.sup, self.tmp)
+
+
+# The TiltWorkspace of the speed search or k_p curve running in this
+# context.  A search reaches its solves through the module's k_p, whose
+# signature callers and wrappers of k_p rely on, so the workspace travels
+# beside the call; each thread has its own context, so threads never share
+# one.
+_search: ContextVar[TiltWorkspace | None] = ContextVar("search", default=None)
+
+
+@contextmanager
+def _one_workspace(m: med.MediumRealization):
+    """Run every k_p on m in one TiltWorkspace until the block exits."""
+    token = _search.set(TiltWorkspace(m))
+    try:
+        yield
+    finally:
+        _search.reset(token)
+
+
 def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
                     v0: np.ndarray | None = None,
-                    ceiling: float = np.inf) -> EigenResult:
+                    ceiling: float = np.inf, *,
+                    ws: Workspace | None = None) -> EigenResult:
     """Principal (Perron) eigenvalue and positive eigenfunction.
 
     Certified bisection on the Perron root lam1 of A.  For any positive w,
@@ -234,8 +342,11 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
       of v.
     So does spending MAX_ITERS solves.
 
-    The solver and the buffers of x and A x are built at the first test,
-    once per call: a solve that its start bounds already settle makes none.
+    The solve writes only into ``ws``, a Workspace on op's own diagonals
+    (a fresh one when None): the returned ``phi`` is a view of one of its
+    buffers, which the next solve through ``ws`` overwrites.  The solver
+    and the buffers of x and A x are built at the workspace's first test: a
+    solve that its start bounds already settle builds none.
     A finite ``ceiling`` stops the solve with AboveCeiling as soon as lo
     exceeds it, sparing a caller that only needs to know whether
     lam1 <= ceiling the remaining solves.  Every lo is certified, at any
@@ -244,20 +355,24 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     lam <= ceiling; at p != 0 lam may exceed it by up to tol_eff/2.
     """
     symmetric = op.p == 0
-    n = op.N
-    if np.any(op.sub <= 0) or np.any(op.sup <= 0):
+    if ws is None:
+        ws = Workspace(op.sub, op.diag, op.sup)
+    elif not (ws.sub is op.sub and ws.diag is op.diag and ws.sup is op.sup):
+        raise ValueError("ws is a workspace on another matrix's diagonals")
+    # fmin skips NaN entries, as the elementwise test does, and unlike that
+    # test it builds no temporary next to the workspace
+    if np.fmin.reduce(op.sub) <= 0 or np.fmin.reduce(op.sup) <= 0:
         bad = int(np.argmax((op.sub <= 0) | (op.sup <= 0)))
         raise PositivityViolation(op.p, op.h, bad)
 
+    # the iterate v, A v and a scratch; a test's solution x and A x come
+    # with the solver, at the first test
+    v, av, tmp = ws.v, ws.av, ws.tmp
+
     # rounding floor of the residual: ||A phi - lam phi|| cannot beat a few
     # ulps of the largest matrix entry
-    tol_eff = max(tol, 128.0 * np.finfo(float).eps * float(np.max(np.abs(op.diag))))
-
-    # the iterate v, A v and a scratch; a test's solution x and A x are
-    # allocated with the solver, at the first test
-    v = np.empty(n)
-    av = np.empty(n)
-    tmp = np.empty(n)
+    tol_eff = max(tol, 128.0 * np.finfo(float).eps
+                  * float(np.max(np.abs(op.diag, out=tmp))))
 
     def bounds(w: np.ndarray, aw: np.ndarray) -> tuple[float, float] | None:
         """w = max(|w| / max|w|, 1e-200) in place, aw = A w, and w's
@@ -273,7 +388,8 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         return float(np.min(tmp)), float(np.max(tmp))
 
     # the bounds of ones, the extreme row sums, whatever the start vector
-    rowsum = op.sub + op.diag + op.sup
+    rowsum = np.add(op.sub, op.diag, out=tmp)
+    np.add(rowsum, op.sup, out=rowsum)
     lo, hi = float(np.min(rowsum)), float(np.max(rowsum))
     v[:] = 1.0 if v0 is None else v0
     start = bounds(v, av)
@@ -305,10 +421,8 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         if iters == MAX_ITERS:
             raise NoConvergence(iters, resid)
         if solver is None:
-            solver = (ShiftedSPDCyclicSolver(op.diag, op.sup) if symmetric
-                      else ShiftedCyclicSolver(op.sub, op.diag, op.sup))
-            x = np.empty(n)
-            ax = np.empty(n)
+            solver = ws.solver(symmetric)
+            x, ax = ws.x, ws.ax
         sigma = hi if closed else 0.5 * (lo + hi)
         iters += 1
         # the exception is not kept past its except clause: its traceback
@@ -350,7 +464,7 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
             if symmetric:
                 lo = max(lo, _dot(v, av) / _dot(v, v))
 
-    return EigenResult(lam=lam, phi=v, residual=resid, iters=iters,
+    return EigenResult(lam=lam, phi=v.view(), residual=resid, iters=iters,
                        failed_tests=failed, cw_width=hi - lo)
 
 
@@ -362,9 +476,18 @@ def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
     solve is deterministic, so asking for the same tilt again gives the same
     bits.  ``ceiling`` is principal_eigen's: the solve stops with
     AboveCeiling once k_p is certified to exceed it.
+
+    Inside speed_from_kp or kp_curve on the same medium, in the same
+    thread, the solve runs in that search's TiltWorkspace and its ``phi``
+    is a view that the search's next solve overwrites; anywhere else it
+    runs in buffers of its own.
     """
-    return principal_eigen(assemble_tilted(m, p), tol=tol, v0=v0,
-                           ceiling=ceiling)
+    ws = _search.get()
+    if ws is None or ws.m is not m:
+        return principal_eigen(assemble_tilted(m, p), tol=tol, v0=v0,
+                               ceiling=ceiling)
+    return principal_eigen(ws.operator(p), tol=tol, v0=v0, ceiling=ceiling,
+                           ws=ws)
 
 
 def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0,
@@ -385,6 +508,15 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     the lowest k_p / p found so far, the tilt the search closes in on, and
     the residual of each is kept for the error bar at the minimizer.
 
+    Every k_p of the search assembles and solves in one TiltWorkspace,
+    which lives as long as the search: the three diagonals, flux_r (the
+    one part of the matrix that no tilt changes), the sweep's vectors and
+    one shifted solver with its LAPACK buffers.  Each tilt overwrites the
+    diagonals in place, with assemble_tilted's bits, so the search makes
+    the same solves, to the bit, as one whose solves each allocate.  The
+    search keeps one more buffer, the best warm start, into which a
+    solve's eigenfunction is copied when its k_p / p becomes the lowest.
+
     The provenance keeps the exact k_p of every completed solve
     (``kp_evals``) and the bound of every point only bounded
     (``kp_bounds``), and counts the search's shifted solves (``sweeps``,
@@ -395,15 +527,17 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
         eig_tol = min(1e-8, tol * 1e-2)
 
     best_g = np.inf
-    best_phi: np.ndarray | None = None
+    best_phi = np.empty(m.N)  # the eigenfunction at best_g, once there is one
     solved: dict[float, tuple[float, float]] = {}  # p -> (k_p, residual)
     bounds: dict[float, float] = {}  # p -> lower bound on k_p, if unsolved
     sweeps = failed = stopped = 0
 
     def g(p: float, ceiling: float) -> float:
-        nonlocal best_g, best_phi, sweeps, failed, stopped
+        nonlocal best_g, sweeps, failed, stopped
         try:
-            res = k_p(m, p, tol=eig_tol, v0=best_phi, ceiling=ceiling * p)
+            res = k_p(m, p, tol=eig_tol,
+                      v0=best_phi if best_g < np.inf else None,
+                      ceiling=ceiling * p)
         except AboveCeiling as above:
             sweeps += above.iters
             failed += above.failed_tests
@@ -418,10 +552,12 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
         bounds.pop(p, None)
         value = res.lam / p
         if value < best_g:
-            best_g, best_phi = value, res.phi
+            best_g = value
+            np.copyto(best_phi, res.phi)
         return value
 
-    p_star, w, _, spread = minimize_log(g, p_lo, p_hi, tol)
+    with _one_workspace(m):
+        p_star, w, _, spread = minimize_log(g, p_lo, p_hi, tol)
     resid = solved[p_star][1]
     err = spread + resid / p_star
     return SpeedEstimate(
@@ -436,5 +572,9 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
 
 
 def kp_curve(m: med.MediumRealization, ps, tol: float = 1e-8) -> np.ndarray:
-    """Array of (p, k_p) rows for a grid of tilts."""
-    return np.array([[p, k_p(m, p, tol=tol).lam] for p in ps])
+    """Array of (p, k_p) rows for a grid of tilts.
+
+    Each tilt is solved cold, in one TiltWorkspace for the whole grid.
+    """
+    with _one_workspace(m):
+        return np.array([[p, k_p(m, p, tol=tol).lam] for p in ps])

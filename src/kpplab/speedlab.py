@@ -127,8 +127,9 @@ def _per_seed(config: dict, one, threads: int,
     the thread count, each dict tagged with its "stream".  With threads > 1
     the seeds run on a thread pool: the Perron and Hessian solves release
     the GIL in LAPACK (see ``tridiag``) and numpy's loops release it too,
-    so the workers compute at the same time.  Each
-    seed builds its own solvers, so no workspace is shared between threads.
+    so the workers compute at the same time.  Each speed search owns its
+    workspace (operators.TiltWorkspace) and each other solve its own
+    buffers, so no workspace is shared between threads.
     """
     def task(stream):
         m = (probe if stream == 0 and probe is not None

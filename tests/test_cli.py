@@ -246,6 +246,22 @@ def test_report_without_a_manifest_is_a_usage_error(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("manifest", ["{}", "[]", '{"run_key": "k"}'])
+def test_report_on_a_manifest_without_its_fields_is_a_usage_error(
+        tmp_path, capsys, manifest):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text(manifest)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "report", str(run_dir))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.strip().splitlines()
+    assert errors[-1].startswith("kpplab: error: cannot read the run's manifest")
+    assert "Traceback" not in captured.err
+
+
 def stub_suite(verdict):
     """A suite that returns one verdict of the given kind."""
     def suite(config, threads=1):

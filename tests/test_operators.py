@@ -2,6 +2,7 @@ import ctypes
 import gc
 import math
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_a_false_failed_test_is_caught_at_once(monkeypatch):
     monkeypatch.setattr(ShiftedCyclicSolver, "solve", flipping)
     with pytest.raises(ops.NoConvergence) as failure:
         ops.principal_eigen(op, tol=1e-10)
-    assert flipped and failure.value.max_iters < 100
+    assert flipped and failure.value.iters < 100
 
 
 def test_a_failed_test_whose_bounds_lie_below_its_shift_stops_there(
@@ -282,7 +283,7 @@ def test_a_failed_test_whose_bounds_lie_below_its_shift_stops_there(
         ops.principal_eigen(op, tol=1e-10)
     assert shifts[-1] > cold.lam
     assert all(sigma <= cold.lam for sigma in shifts[:-1])
-    assert failure.value.max_iters == len(shifts)
+    assert failure.value.iters == len(shifts)
 
 
 def test_a_failed_test_with_a_non_finite_solution_is_skipped(monkeypatch):
@@ -676,6 +677,83 @@ def test_speed_search_leaves_no_reference_cycle():
         gc.enable()
     assert est.provenance["stopped"] > 0
     assert held < 2 * 8 * m.N
+
+
+def test_speed_search_builds_one_solver(monkeypatch):
+    # every k_p of a search solves in the search's one workspace
+    built = []
+
+    class Counted(ShiftedCyclicSolver):
+        def __init__(self, *args):
+            built.append(len(built))
+            super().__init__(*args)
+
+    monkeypatch.setattr(ops, "ShiftedCyclicSolver", Counted)
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    est = ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4)
+    assert len(est.provenance["kp_evals"]) > 1 and built == [0]
+    ops.kp_curve(m, [0.5, 1.0, 1.5])
+    assert built == [0, 1]
+
+
+def test_workspace_solves_match_fresh_solves():
+    # solves through one workspace, some stopped at a ceiling, leave nothing
+    # behind that a later solve reads: each completed solve has the bits of
+    # the same solve in fresh buffers
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    ws = ops.TiltWorkspace(m)
+    warm = None
+    for p, below in [(0.8, 1e-3), (1.3, None), (-0.6, None), (0.0, 1e-6),
+                     (0.0, None), (2.0, 1e-2), (0.5, None), (1.3, None)]:
+        fresh = ops.assemble_tilted(m, p)
+        op = ws.operator(p)
+        for name in ("sub", "diag", "sup"):
+            assert np.array_equal(getattr(op, name), getattr(fresh, name))
+        if below is not None:
+            ceiling = ops.principal_eigen(fresh, tol=1e-10).lam - below
+            with pytest.raises(ops.AboveCeiling):
+                ops.principal_eigen(op, tol=1e-10, v0=warm, ceiling=ceiling,
+                                    ws=ws)
+            continue
+        ref = ops.principal_eigen(fresh, tol=1e-10, v0=warm)
+        res = ops.principal_eigen(op, tol=1e-10, v0=warm, ws=ws)
+        assert (res.lam, res.iters, res.failed_tests, res.residual) == (
+            ref.lam, ref.iters, ref.failed_tests, ref.residual)
+        assert np.array_equal(res.phi, ref.phi)
+        warm = ref.phi
+    with pytest.raises(ValueError, match="another matrix"):
+        ops.principal_eigen(ops.assemble_tilted(m, 0.5), ws=ws)
+
+
+def test_returned_phi_is_not_a_shared_buffer():
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    first = ops.k_p(m, 0.5, tol=1e-10)
+    kept = first.phi.copy()
+    second = ops.k_p(m, 1.0, tol=1e-10, v0=first.phi)
+    ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4)
+    third = ops.principal_eigen(ops.assemble_tilted(m, 0.7), tol=1e-10)
+    assert np.array_equal(first.phi, kept)
+    assert not np.shares_memory(first.phi, second.phi)
+    assert not np.shares_memory(second.phi, third.phi)
+    assert not first.phi.flags.writeable
+
+
+def test_searches_in_one_workspace_match_fresh_buffers(monkeypatch):
+    # a search's warm starts and a curve's cold rows read nothing a later
+    # solve in the shared workspace overwrites: without the workspace, each
+    # k_p in buffers of its own, every bit is the same
+    m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    ps = [0.0, 1.2, -0.4, 0.0, 0.7]
+
+    def run():
+        est = ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4)
+        return ((est.value, est.optimizer, est.err, est.provenance),
+                ops.kp_curve(m, ps, tol=1e-10).tolist())
+
+    shared = run()
+    monkeypatch.setattr(ops, "_one_workspace", lambda m: nullcontext())
+    assert shared == run()
+    assert shared[0][3]["kp_bounds"] and len(shared[0][3]["kp_evals"]) > 2
 
 
 def test_eigenresult_serializes():
