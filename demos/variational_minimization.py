@@ -2,12 +2,12 @@
 
 The tilted eigenvalue k_p equals the infimum over mean-zero drift fields
 theta of the self-adjoint eigenvalue k_0(a, c + a (p + theta)^2).  This demo
-evaluates that objective three ways on one random medium:
+evaluates that objective four ways on one random medium:
 
   * theta = 0              -- a generic upper bound,
   * homogenized theta      -- attains the harmonic-mean lower bound
                               mean_c + p^2/mean(1/a) in the quadratic form,
-  * optimized theta        -- projected gradient descent, closing the gap to
+  * optimized theta        -- projected Newton descent, closing the gap to
                               the directly computed k_p,
   * closed-form theta      -- built from the +p/-p eigenfunctions; an exact
                               minimizer up to discretization.

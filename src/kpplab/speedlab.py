@@ -75,8 +75,8 @@ def make_config(**overrides) -> dict:
 
     Raises ValueError naming any key DEFAULT_CONFIG does not have (at the
     top level or in ``pde``), so that a misspelt key cannot run silently on
-    its default, or any value of another type than its default's, and for
-    ``seeds`` below 1.
+    its default, or any value of another type than its default's, for
+    ``seeds`` below 1 and for a negative ``attainment_max_iters``.
     """
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     unknown = sorted(set(overrides) - set(cfg))
@@ -92,6 +92,9 @@ def make_config(**overrides) -> dict:
         _check_type(f"pde.{k}", v, DEFAULT_CONFIG["pde"][k])
     if cfg["seeds"] < 1:
         raise ValueError(f"seeds must be at least 1, got {cfg['seeds']!r}")
+    if cfg["attainment_max_iters"] < 0:
+        raise ValueError("attainment_max_iters must be at least 0, got "
+                         f"{cfg['attainment_max_iters']!r}")
     return cfg
 
 

@@ -297,10 +297,11 @@ class ShiftedSPDCyclicSolver:
 
     factor(sigma) makes one pttrf and one pttrs (for T^{-1} w), and each
     solve_factored(b) after it one pttrs, in place: the symmetric Perron
-    bisection factors at every shift and solves once, the Newton-CG Hessian
-    solves many times at one shift.  The LAPACK buffers and argument lists
-    are built here, once, and every call releases the GIL.  A solver serves
-    one thread at a time.
+    bisection factors at every shift and solves once, and a drift-descent
+    Newton step factors twice (certifying its eigenvalue, then the Newton
+    system's matrix) and solves four times.  The LAPACK buffers and
+    argument lists are built here, once, and every call releases the GIL.
+    A solver serves one thread at a time.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):

@@ -123,6 +123,18 @@ def test_refused_input_is_a_usage_error(tmp_path, capsys, argv, overrides,
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_descent_budget_is_a_usage_error(tmp_path, capsys):
+    # refused before the descent starts: one error line, exit code 2
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "variational", "minimize", "--p", "1.0",
+            "--max-iters", "-1", cfg=write_config(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "kpplab: error: max_iters must be at least 0, got -1" in err
+    assert "Traceback" not in err
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_medium_sample(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run(tmp_path, "medium", "sample", cfg=cfg) == 0

@@ -42,6 +42,13 @@ def test_make_config_rejects_unknown_keys_and_no_seeds():
     assert lab.make_config(pde={"T": 10.0})["pde"]["dt"] == 0.05
 
 
+def test_make_config_rejects_a_negative_descent_budget():
+    with pytest.raises(ValueError,
+                       match="attainment_max_iters must be at least 0"):
+        lab.make_config(attainment_max_iters=-1)
+    assert lab.make_config(attainment_max_iters=0)["attainment_max_iters"] == 0
+
+
 def test_suite_homogenized_bound_homogeneous():
     cfg = small_config(ensemble=CONST_ENSEMBLE, X=100.0, seeds=3)
     rep = lab.suite_homogenized_bound(cfg)

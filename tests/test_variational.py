@@ -200,6 +200,64 @@ def test_degenerate_closed_form_solves_k_p_at_plus_p_once(monkeypatch):
     assert res.kp_direct == ops.k_p(m, p, tol=1e-10).lam
 
 
+def test_negative_max_iters_is_refused():
+    m = constant_medium(X=50.0, h=0.02)
+    with pytest.raises(ValueError, match="max_iters must be at least 0"):
+        var.minimize_theta(m, 1.0, max_iters=-1)
+
+
+def test_newton_direction_solves_the_projected_newton_system():
+    # H = C + 2 W R W applied as a Hessian-vector product: C = diag(2 a u^2)
+    # floored at 1e-4 of its max, W = diag(u b), R the reduced resolvent by
+    # one solve with the factored (lam + delta) I - A, u projected out on
+    # both sides; the direction solves H x = -g on the mean-zero subspace,
+    # at the homogenized start and at a point after one full Newton step
+    m = dimer_medium(X=100.0, h=0.005, eps=0.1, jitter=0.3)
+    p = 1.5 * ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4).optimizer
+    theta = var.homogenized_theta(m, p).theta
+    for _ in range(2):
+        lam, phi, op = var._eigenpair(m, p, theta, 1e-10)
+        u, ub, grad = var._gradient(m, p, theta, phi)
+        curv = 2.0 * m.a * u * u
+        x = var._newton_direction(op, lam, u, ub, curv, grad)
+        c = np.maximum(curv, 1e-4 * np.max(curv))
+        resolvent = var._shifted_factor(op.diag, op.sup, lam)
+        y = ub * x
+        y -= np.dot(u, y) * u
+        resolvent.solve_factored(y)
+        y -= np.dot(u, y) * u
+        hx = c * x + 2.0 * ub * y
+        residual = hx - np.mean(hx) + grad
+        assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(grad)
+        assert abs(np.mean(x)) <= 1e-12 * np.max(np.abs(x))
+        assert np.dot(grad, x) < 0.0
+        theta = theta + x - np.mean(x)
+
+
+def test_newton_step_factors_twice_and_solves_four_times(monkeypatch):
+    # each step certifies lam with one factorization of (lam + delta) I - A
+    # and solves its Newton system with one of M + 2K and four solves; the
+    # final iterate is certified too
+    calls = {"factor": 0, "solve": 0}
+
+    class Counted(ShiftedSPDCyclicSolver):
+        def factor(self, sigma):
+            calls["factor"] += 1
+            super().factor(sigma)
+
+        def solve_factored(self, b):
+            calls["solve"] += 1
+            super().solve_factored(b)
+
+    monkeypatch.setattr(var, "ShiftedSPDCyclicSolver", Counted)
+    m = dimer_medium(X=50.0, h=0.01, eps=0.1, jitter=0.3)
+    p = 1.5
+    *_, iters, _, stop = var._descend(m, p, var.homogenized_theta(m, p).theta,
+                                      1e-8, 60, 1e-10)
+    assert stop == "converged" and iters > 0
+    assert calls == {"factor": 2 * iters + 1, "solve": 4 * iters}
+
+
 def test_line_search_rejects_trials_at_their_armijo_ceiling(monkeypatch):
     # a step far past the minimum: each rejected trial stops once a
     # certified lower bound puts its top eigenvalue above the Armijo value
