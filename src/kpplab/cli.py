@@ -6,8 +6,9 @@ the stream's medium on the config's ``pde`` grid, the others on its ``h``.
 A config file may only name keys the default config has.
 
 Exit codes: 0 success, 2 a suite verdict was violated or the input was
-refused (a usage error: an unreadable or invalid config, or a config a suite
-does not accept; nothing is written), 3 a suite was inconclusive,
+refused (a usage error: an unreadable or invalid config, a config a suite
+does not accept, an argument a command refuses or an unreadable run to
+report; nothing is written), 3 a suite was inconclusive,
 4 numerical failure.
 """
 
@@ -54,17 +55,23 @@ def _load_config(args) -> dict:
 
 
 def _setup(args, pde_grid: bool = False):
-    """(cfg, out, m): the config, the output directory, the stream's medium.
+    """(cfg, m): the config and the stream's medium.
 
     The medium is sampled on cfg["pde"]["h"] when pde_grid is set, else on
-    cfg["h"], and before --out is made, so a refused grid writes nothing.
+    cfg["h"].
     """
     cfg = _load_config(args)
     m = lab._realization(cfg, args.stream,
                          cfg["pde"]["h"] if pde_grid else None)
+    return cfg, m
+
+
+def _out_dir(args) -> Path:
+    """The --out directory, made just before a command's first write, so
+    that input a command refuses leaves nothing behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return cfg, out, m
+    return out
 
 
 def _front_trace(cfg: dict, m) -> pde.FrontTrace:
@@ -81,8 +88,9 @@ def _write_dat(path: Path, rows, header: str) -> Path:
 
 
 def cmd_medium_sample(args) -> int:
-    _, out, m = _setup(args)
-    path = med.save_realization(m, out / f"medium_{args.stream}.kppm")
+    _, m = _setup(args)
+    path = med.save_realization(m,
+                                _out_dir(args) / f"medium_{args.stream}.kppm")
     em = med.empirical_means(m)
     print(f"wrote {path} (N={m.N}, X={m.X:g}, h={m.h:g}); "
           f"mean_c={em.mean_c:.6g} mean_a={em.mean_a:.6g} "
@@ -91,11 +99,12 @@ def cmd_medium_sample(args) -> int:
 
 
 def cmd_eigen_kp(args) -> int:
-    cfg, out, m = _setup(args)
+    cfg, m = _setup(args)
     ps = np.linspace(args.p_min, args.p_max, args.p_count)
     curve = ops.kp_curve(m, ps, tol=cfg["tol"])
-    _write_dat(out / "kp_curve.dat", curve, "p  k_p")
     res = ops.k_p(m, args.p, tol=cfg["tol"])
+    out = _out_dir(args)
+    _write_dat(out / "kp_curve.dat", curve, "p  k_p")
     write_json(out / "kp.json", {
         **res.to_dict(), "p": args.p, "N": m.N, "h": m.h, "X": m.X,
         "realization_id": m.realization_id})
@@ -105,9 +114,10 @@ def cmd_eigen_kp(args) -> int:
 
 
 def cmd_eigen_speed(args) -> int:
-    cfg, out, m = _setup(args)
+    cfg, m = _setup(args)
     est = lab._eigen_speed(cfg, m)
     rows = sorted((float(k), v) for k, v in est.provenance["kp_evals"].items())
+    out = _out_dir(args)
     _write_dat(out / "kp_curve.dat", rows, "p  k_p")
     write_json(out / "speed_eigen.json", asdict(est))
     print(f"w* = {est.value!r} at p* = {est.optimizer!r} (err {est.err:.2e})")
@@ -115,13 +125,14 @@ def cmd_eigen_speed(args) -> int:
 
 
 def cmd_freidlin_mu(args) -> int:
-    cfg, out, m = _setup(args)
+    cfg, m = _setup(args)
     lam1 = ops.k_p(m, 0.0, tol=cfg["tol"]).lam
     lo = (args.gamma_min if args.gamma_min is not None
           else fr.gamma_floor(m, lam1))
     hi = args.gamma_max if args.gamma_max is not None else 4.0 * lo
     gammas = np.linspace(lo, hi, args.gamma_count)
     curve = fr.mu_curve(m, gammas, lambda1_estimate=lam1)
+    out = _out_dir(args)
     curve.to_csv(out / "mu_curve.csv")
     _write_dat(out / "mu_curve.dat",
                np.column_stack([curve.gamma, curve.mu]), "gamma  mu")
@@ -131,21 +142,22 @@ def cmd_freidlin_mu(args) -> int:
 
 
 def cmd_freidlin_speed(args) -> int:
-    cfg, out, m = _setup(args)
+    cfg, m = _setup(args)
     est = fr.speed_freidlin(m, tol=cfg["speed_tol"])
-    write_json(out / "speed_freidlin.json", asdict(est))
+    write_json(_out_dir(args) / "speed_freidlin.json", asdict(est))
     print(f"w* = {est.value!r} at gamma* = {est.optimizer!r} "
           f"(mu* = {est.provenance['mu_star']:.6g})")
     return EXIT_OK
 
 
 def cmd_variational_minimize(args) -> int:
-    cfg, out, m = _setup(args)
+    cfg, m = _setup(args)
     if args.p is not None:
         p = args.p
     else:
         p = 1.5 * lab._eigen_speed(cfg, m).optimizer
     res = var.minimize_theta(m, p, max_iters=args.max_iters)
+    out = _out_dir(args)
     theta_path = out / "theta.f64"
     theta_path.write_bytes(np.ascontiguousarray(
         res.theta.theta, dtype="<f8").tobytes())
@@ -166,8 +178,9 @@ def cmd_variational_minimize(args) -> int:
 
 
 def cmd_pde_run(args) -> int:
-    cfg, out, m = _setup(args, pde_grid=True)
+    cfg, m = _setup(args, pde_grid=True)
     trace = _front_trace(cfg, m)
+    out = _out_dir(args)
     trace.to_csv(out / "front.csv")
     _write_dat(out / "front.dat",
                np.column_stack([trace.times, trace.positions]), "t  position")
@@ -176,22 +189,22 @@ def cmd_pde_run(args) -> int:
 
 
 def cmd_pde_speed(args) -> int:
-    cfg, out, m = _setup(args, pde_grid=True)
+    cfg, m = _setup(args, pde_grid=True)
     est = pde.front_speed(_front_trace(cfg, m), cfg["pde"]["fit_fraction"])
-    write_json(out / "speed_pde.json", asdict(est))
+    write_json(_out_dir(args) / "speed_pde.json", asdict(est))
     print(f"fitted front speed = {est.value!r} +- {est.err:.3g}")
     return EXIT_OK
 
 
 def cmd_pde_dichotomy(args) -> int:
-    cfg, out, m = _setup(args, pde_grid=True)
+    cfg, m = _setup(args, pde_grid=True)
     if args.w_star is not None:
         w = args.w_star
     else:
         w = lab._eigen_speed(cfg, lab._realization(cfg, args.stream)).value
     report = pde.dichotomy_check(m, pde.ReactionSpec("logistic_c"), w,
                                  args.deltas, T=args.T, dt=cfg["pde"]["dt"])
-    write_json(out / "dichotomy.json", report)
+    write_json(_out_dir(args) / "dichotomy.json", report)
     for rec in report:
         print(rec)
     ok = all(r["inside_ok"] and r["outside_ok"]
@@ -215,6 +228,7 @@ def cmd_suite(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_id)
+    source = "manifest"
     try:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         lines = [f"run {manifest['run_key']} (tool {manifest['tool_version']})",
@@ -225,18 +239,18 @@ def cmd_report(args) -> int:
                   for key, value in manifest.get("environment", {}).items()]
         lines += [f"  output {rec['path']}  sha {rec['sha']}"
                   for rec in manifest["outputs"]]
+        for path in sorted(run_dir.glob("*_report.json")):
+            source = path.name
+            data = json.loads(path.read_text())
+            lines.append(f"  suite {data['suite']}:")
+            lines += [f"    [{v['verdict']:>12}] {v['claim']} "
+                      f"margin {v['margin']:+.3e}" for v in data["verdicts"]]
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read the run's manifest: {exc}") from None
+        raise ValueError(f"cannot read the run's {source}: {exc}") from None
     except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError("cannot read the run's manifest: it lacks a field "
+        raise ValueError(f"cannot read the run's {source}: it lacks a field "
                          f"({type(exc).__name__}: {exc})") from None
     print("\n".join(lines))
-    for path in sorted(run_dir.glob("*_report.json")):
-        data = json.loads(path.read_text())
-        print(f"  suite {data['suite']}:")
-        for v in data["verdicts"]:
-            print(f"    [{v['verdict']:>12}] {v['claim']} "
-                  f"margin {v['margin']:+.3e}")
     return EXIT_OK
 
 

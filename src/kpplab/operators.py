@@ -25,8 +25,6 @@ Perron root with positive eigenvector.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,11 +139,6 @@ class EigenResult:
         }
 
 
-def _flux_r(m: med.MediumRealization) -> np.ndarray:
-    """a_half[i+1/2] / h^2, the one part of the matrix that no tilt changes."""
-    return m.a_half * (1.0 / (m.h * m.h))
-
-
 def _shift_into(src: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[i] = src[i-1], cyclically: np.roll(src, 1) without the copy."""
     out[1:] = src[:-1]
@@ -153,23 +146,25 @@ def _shift_into(src: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble_into(m: med.MediumRealization, flux_r: np.ndarray, p: float,
-                   zero_order: np.ndarray, sub: np.ndarray, diag: np.ndarray,
-                   sup: np.ndarray, tmp: np.ndarray) -> DiscreteOperator:
+def _assemble_into(m: med.MediumRealization, p: float, zero_order: np.ndarray,
+                   sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                   tmp: np.ndarray) -> DiscreteOperator:
     """Write the rows of the module docstring into sub, diag and sup, using
-    tmp as scratch; flux_r is _flux_r(m).
+    tmp as scratch.
 
     Each entry is rounded as flux_l + (p/h) a_half[i-1/2],
     flux_r - (p/h) a_half[i+1/2] and (-(flux_l + flux_r) + p^2 a) +
-    zero_order, with flux_l[i] = flux_r[i-1], so buffers written over hold
-    the same bits as fresh ones.
+    zero_order, with flux_r = a_half[i+1/2] * (1/h^2) and
+    flux_l[i] = flux_r[i-1], so buffers written over hold the same bits as
+    fresh ones.
     """
     h = m.h
     if h * abs(p) >= 1.0:
         raise PositivityViolation(p, h, 0)
     tilt = p / h
+    flux_r = np.multiply(m.a_half, 1.0 / (h * h), out=tmp)
     flux_l = _shift_into(flux_r, diag)
-    np.multiply(tilt, _shift_into(m.a_half, tmp), out=sub)  # a at i - 1/2
+    np.multiply(tilt, _shift_into(m.a_half, sub), out=sub)  # a at i - 1/2
     np.add(flux_l, sub, out=sub)
     np.multiply(tilt, m.a_half, out=sup)
     np.subtract(flux_r, sup, out=sup)
@@ -183,8 +178,8 @@ def _assemble_into(m: med.MediumRealization, flux_r: np.ndarray, p: float,
 
 
 def _assemble(m: med.MediumRealization, p: float, zero_order: np.ndarray) -> DiscreteOperator:
-    return _assemble_into(m, _flux_r(m), p, zero_order, np.empty(m.N),
-                          np.empty(m.N), np.empty(m.N), np.empty(m.N))
+    return _assemble_into(m, p, zero_order, np.empty(m.N), np.empty(m.N),
+                          np.empty(m.N), np.empty(m.N))
 
 
 def assemble_tilted(m: med.MediumRealization, p: float) -> DiscreteOperator:
@@ -247,44 +242,25 @@ class TiltWorkspace(Workspace):
     """A Workspace that owns its diagonals and assembles the tilted matrices
     of one medium into them.
 
-    It keeps flux_r, the part of the matrix that no tilt changes, and
     ``operator(p)`` writes the matrix of L_p over the previous tilt's, bit
-    for bit assemble_tilted's, through the scratch vector.  The other
-    p-independent parts (a at i - 1/2, flux_l and -(flux_l + flux_r)) are
-    rebuilt on each tilt by slice shifts rather than kept, so a search
-    holds no more vectors than its solves need.  One speed search, or one
-    k_p curve, owns one for as long as it runs.
+    for bit assemble_tilted's, through the scratch vector.  The parts that
+    do not depend on p (flux_r = a_half / h^2, a at i - 1/2, flux_l and
+    -(flux_l + flux_r)) are rebuilt on each tilt, by one product and slice
+    shifts, rather than kept, so a workspace holds no more vectors than its
+    solves need.  k_p solves in one; a speed search, or a k_p curve, builds
+    one and passes it to each of its k_p calls.
     """
 
     def __init__(self, m: med.MediumRealization):
         super().__init__(np.empty(m.N), np.empty(m.N), np.empty(m.N))
         self.m = m
-        self._flux_r = _flux_r(m)
 
     def operator(self, p: float) -> DiscreteOperator:
         """The matrix of L_p, in this workspace's diagonals."""
         for arr in (self.sub, self.diag, self.sup):
             arr.flags.writeable = True  # the last tilt's operator froze them
-        return _assemble_into(self.m, self._flux_r, p, self.m.c, self.sub,
-                              self.diag, self.sup, self.tmp)
-
-
-# The TiltWorkspace of the speed search or k_p curve running in this
-# context.  A search reaches its solves through the module's k_p, whose
-# signature callers and wrappers of k_p rely on, so the workspace travels
-# beside the call; each thread has its own context, so threads never share
-# one.
-_search: ContextVar[TiltWorkspace | None] = ContextVar("search", default=None)
-
-
-@contextmanager
-def _one_workspace(m: med.MediumRealization):
-    """Run every k_p on m in one TiltWorkspace until the block exits."""
-    token = _search.set(TiltWorkspace(m))
-    try:
-        yield
-    finally:
-        _search.reset(token)
+        return _assemble_into(self.m, p, self.m.c, self.sub, self.diag,
+                              self.sup, self.tmp)
 
 
 def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
@@ -469,7 +445,8 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
 
 
 def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
-        v0: np.ndarray | None = None, ceiling: float = np.inf) -> EigenResult:
+        v0: np.ndarray | None = None, ceiling: float = np.inf, *,
+        ws: TiltWorkspace | None = None) -> EigenResult:
     """Principal eigenvalue k_p of the tilted operator on the window.
 
     Every call solves; ``v0`` only seeds the iteration (warm start).  A cold
@@ -477,15 +454,14 @@ def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
     bits.  ``ceiling`` is principal_eigen's: the solve stops with
     AboveCeiling once k_p is certified to exceed it.
 
-    Inside speed_from_kp or kp_curve on the same medium, in the same
-    thread, the solve runs in that search's TiltWorkspace and its ``phi``
-    is a view that the search's next solve overwrites; anywhere else it
-    runs in buffers of its own.
+    The matrix is assembled and solved in ``ws``, a TiltWorkspace of m (a
+    fresh one when None), with the same bits either way; the returned
+    ``phi`` is a view that the next solve through ``ws`` overwrites.
     """
-    ws = _search.get()
-    if ws is None or ws.m is not m:
-        return principal_eigen(assemble_tilted(m, p), tol=tol, v0=v0,
-                               ceiling=ceiling)
+    if ws is None:
+        ws = TiltWorkspace(m)
+    elif ws.m is not m:
+        raise ValueError("ws is a workspace of another medium")
     return principal_eigen(ws.operator(p), tol=tol, v0=v0, ceiling=ceiling,
                            ws=ws)
 
@@ -508,14 +484,14 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     the lowest k_p / p found so far, the tilt the search closes in on, and
     the residual of each is kept for the error bar at the minimizer.
 
-    Every k_p of the search assembles and solves in one TiltWorkspace,
-    which lives as long as the search: the three diagonals, flux_r (the
-    one part of the matrix that no tilt changes), the sweep's vectors and
-    one shifted solver with its LAPACK buffers.  Each tilt overwrites the
-    diagonals in place, with assemble_tilted's bits, so the search makes
-    the same solves, to the bit, as one whose solves each allocate.  The
-    search keeps one more buffer, the best warm start, into which a
-    solve's eigenfunction is copied when its k_p / p becomes the lowest.
+    The search builds one TiltWorkspace and passes it to each of its k_p
+    calls, so every tilt assembles and solves in it: the three diagonals,
+    the sweep's vectors and one shifted solver with its LAPACK buffers.
+    Each tilt overwrites the diagonals in place, with assemble_tilted's
+    bits, so the search makes the same solves, to the bit, as one whose
+    solves each allocate.  The search keeps one more buffer, the best warm
+    start, into which a solve's eigenfunction is copied when its k_p / p
+    becomes the lowest.
 
     The provenance keeps the exact k_p of every completed solve
     (``kp_evals``) and the bound of every point only bounded
@@ -532,12 +508,14 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     bounds: dict[float, float] = {}  # p -> lower bound on k_p, if unsolved
     sweeps = failed = stopped = 0
 
+    ws = TiltWorkspace(m)
+
     def g(p: float, ceiling: float) -> float:
         nonlocal best_g, sweeps, failed, stopped
         try:
             res = k_p(m, p, tol=eig_tol,
                       v0=best_phi if best_g < np.inf else None,
-                      ceiling=ceiling * p)
+                      ceiling=ceiling * p, ws=ws)
         except AboveCeiling as above:
             sweeps += above.iters
             failed += above.failed_tests
@@ -556,8 +534,7 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
             np.copyto(best_phi, res.phi)
         return value
 
-    with _one_workspace(m):
-        p_star, w, _, spread = minimize_log(g, p_lo, p_hi, tol)
+    p_star, w, _, spread = minimize_log(g, p_lo, p_hi, tol)
     resid = solved[p_star][1]
     err = spread + resid / p_star
     return SpeedEstimate(
@@ -574,7 +551,8 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
 def kp_curve(m: med.MediumRealization, ps, tol: float = 1e-8) -> np.ndarray:
     """Array of (p, k_p) rows for a grid of tilts.
 
-    Each tilt is solved cold, in one TiltWorkspace for the whole grid.
+    Each tilt is solved cold by k_p, in one TiltWorkspace passed to every
+    call.
     """
-    with _one_workspace(m):
-        return np.array([[p, k_p(m, p, tol=tol).lam] for p in ps])
+    ws = TiltWorkspace(m)
+    return np.array([[p, k_p(m, p, tol=tol, ws=ws).lam] for p in ps])

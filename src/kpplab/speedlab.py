@@ -130,9 +130,10 @@ def _per_seed(config: dict, one, threads: int,
     the thread count, each dict tagged with its "stream".  With threads > 1
     the seeds run on a thread pool: the Perron and Hessian solves release
     the GIL in LAPACK (see ``tridiag``) and numpy's loops release it too,
-    so the workers compute at the same time.  Each speed search owns its
-    workspace (operators.TiltWorkspace) and each other solve its own
-    buffers, so no workspace is shared between threads.
+    so the workers compute at the same time.  Each speed search builds its
+    own workspace (operators.TiltWorkspace) and passes it to its k_p calls,
+    and each other solve makes its own buffers, so no workspace is shared
+    between threads.
     """
     def task(stream):
         m = (probe if stream == 0 and probe is not None

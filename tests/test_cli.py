@@ -132,7 +132,23 @@ def test_negative_descent_budget_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "kpplab: error: max_iters must be at least 0, got -1" in err
     assert "Traceback" not in err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["variational", "minimize", "--max-iters", "-1"],
+    ["pde", "dichotomy", "--deltas", "-0.5", "--w-star", "2"],
+    ["eigen", "kp", "--p-count", "-1"],
+    ["freidlin", "mu", "--gamma-count", "-1"],
+], ids=["descent_budget", "dichotomy_delta", "kp_count", "gamma_count"])
+def test_refused_argument_leaves_no_output_directory(tmp_path, capsys, argv):
+    # --out is made only at a command's first write, after its inputs are
+    # checked
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv, cfg=write_config(tmp_path))
+    assert exc.value.code == 2
+    assert "kpplab: error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_medium_sample(tmp_path, capsys):
@@ -243,7 +259,7 @@ def test_suite_and_report(tmp_path, capsys):
 
     assert run(tmp_path, "report", str(tmp_path / "out")) == 0
     out = capsys.readouterr().out
-    assert "homogenized_bound" in out
+    assert "\n  suite homogenized_bound:\n    [    verified] " in out
     assert "sha" in out
     assert "  workers 1\n" in out
     assert f"  numpy {np.__version__}\n" in out
@@ -271,6 +287,36 @@ def test_report_on_a_manifest_without_its_fields_is_a_usage_error(
     assert captured.out == ""
     errors = captured.err.strip().splitlines()
     assert errors[-1].startswith("kpplab: error: cannot read the run's manifest")
+    assert "Traceback" not in captured.err
+
+
+MANIFEST = {"run_key": "k", "tool_version": "0", "started_at": "s",
+            "finished_at": "f", "master_seed": 1, "outputs": []}
+
+
+@pytest.mark.parametrize("report", [
+    "{}", "not json", "[]", '{"suite": "s", "verdicts": [{}]}',
+    '{"suite": "s", "verdicts": [{"verdict": "verified", "claim": "c", '
+    '"margin": "0"}]}'],
+    ids=["no_fields", "not_json", "list", "verdict_fields", "string_margin"])
+def test_report_on_a_bad_suite_report_is_a_usage_error(tmp_path, capsys,
+                                                       report):
+    # a bad *_report.json is refused as a whole: nothing of the run is
+    # printed, and one error line names the file
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text(json.dumps(MANIFEST))
+    (run_dir / "a_report.json").write_text(
+        '{"suite": "a", "verdicts": []}')
+    (run_dir / "b_report.json").write_text(report)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "report", str(run_dir))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.strip().splitlines()
+    assert errors[-1].startswith(
+        "kpplab: error: cannot read the run's b_report.json")
     assert "Traceback" not in captured.err
 
 

@@ -2,7 +2,6 @@ import ctypes
 import gc
 import math
 import tracemalloc
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -723,6 +722,9 @@ def test_workspace_solves_match_fresh_solves():
         warm = ref.phi
     with pytest.raises(ValueError, match="another matrix"):
         ops.principal_eigen(ops.assemble_tilted(m, 0.5), ws=ws)
+    other = dimer_medium(X=100.0, h=0.02, jitter=0.3)
+    with pytest.raises(ValueError, match="another medium"):
+        ops.k_p(m, 0.5, ws=ops.TiltWorkspace(other))
 
 
 def test_returned_phi_is_not_a_shared_buffer():
@@ -751,7 +753,12 @@ def test_searches_in_one_workspace_match_fresh_buffers(monkeypatch):
                 ops.kp_curve(m, ps, tol=1e-10).tolist())
 
     shared = run()
-    monkeypatch.setattr(ops, "_one_workspace", lambda m: nullcontext())
+    k_p = ops.k_p
+
+    def fresh(m, p, tol=1e-8, v0=None, ceiling=np.inf, *, ws=None):
+        return k_p(m, p, tol=tol, v0=v0, ceiling=ceiling)
+
+    monkeypatch.setattr(ops, "k_p", fresh)
     assert shared == run()
     assert shared[0][3]["kp_bounds"] and len(shared[0][3]["kp_evals"]) > 2
 

@@ -204,10 +204,10 @@ def test_eigen_properties_solves_each_cold_key_once(monkeypatch, grids):
     cold = []
     k_p = ops.k_p
 
-    def counting(m, p, tol=1e-8, v0=None, ceiling=float("inf")):
+    def counting(m, p, tol=1e-8, v0=None, ceiling=float("inf"), *, ws=None):
         if v0 is None:
             cold.append(float(p))
-        return k_p(m, p, tol=tol, v0=v0, ceiling=ceiling)
+        return k_p(m, p, tol=tol, v0=v0, ceiling=ceiling, ws=ws)
 
     monkeypatch.setattr(ops, "k_p", counting)
     lab.suite_eigen_properties(cfg)
