@@ -31,7 +31,6 @@ from .operators import (
     EigenResult,
     NoConvergence,
     PositivityViolation,
-    assemble_symmetric,
     assemble_tilted,
     k_p,
     kp_curve,
@@ -46,7 +45,6 @@ from .freidlin import (
     speed_freidlin,
 )
 from .variational import (
-    DegenerateTilt,
     ThetaField,
     ThetaResult,
     homogenized_theta,

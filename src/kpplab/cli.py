@@ -254,11 +254,17 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _worker_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(kind, low: int):
+    """argparse type of a kind (int or float) value of at least low."""
+    def parse(text: str):
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config file (merged over defaults)")
     ap.add_argument("--seed", type=int, help="master seed override")
     ap.add_argument("--out", default="runs/latest", help="output directory")
-    ap.add_argument("--threads", type=_worker_count, default=1,
+    ap.add_argument("--threads", type=_at_least(int, 1), default=1,
                     help="worker threads of a suite (at least 1)")
     ap.add_argument("--tol", type=float, help="eigen tolerance override")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--p-min", type=float, default=0.2)
     p.add_argument("--p-max", type=float, default=2.0)
-    p.add_argument("--p-count", type=int, default=10)
+    p.add_argument("--p-count", type=_at_least(int, 0), default=10)
     p.set_defaults(fn=cmd_eigen_kp)
     p = eig_sub.add_parser("speed", parents=[stream],
                            help="w* by eigenvalue minimization")
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fr_sub.add_parser("mu", parents=[stream], help="mu(gamma) curve")
     p.add_argument("--gamma-min", type=float)
     p.add_argument("--gamma-max", type=float)
-    p.add_argument("--gamma-count", type=int, default=25)
+    p.add_argument("--gamma-count", type=_at_least(int, 0), default=25)
     p.set_defaults(fn=cmd_freidlin_mu)
     p = fr_sub.add_parser("speed", parents=[stream],
                           help="w* by gamma/mu minimization")
@@ -309,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_var = sub.add_parser("variational", help="drift-field optimization")
     var_sub = p_var.add_subparsers(dest="subcommand", required=True)
     p = var_sub.add_parser("minimize", parents=[stream],
-                           help="minimize k_0(a, c + a(p+theta)^2)")
+                           help="minimize lam_max(S_p(theta)) down to k_p")
     p.add_argument("--p", type=float)
-    p.add_argument("--max-iters", type=int, default=300)
+    p.add_argument("--max-iters", type=_at_least(int, 0), default=300)
     p.set_defaults(fn=cmd_variational_minimize)
 
     p_pde = sub.add_parser("pde", help="direct front simulation")
@@ -326,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="probe u at (1 +- delta) w* T")
     p.add_argument("--w-star", type=float)
     p.add_argument("--T", type=float, default=150.0)
-    p.add_argument("--deltas", type=float, nargs="+", default=[0.25])
+    p.add_argument("--deltas", type=_at_least(float, 0), nargs="+",
+                   default=[0.25])
     p.set_defaults(fn=cmd_pde_dichotomy)
 
     p = sub.add_parser("suite", help="run a verification suite")

@@ -146,17 +146,16 @@ def _shift_into(src: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble_into(m: med.MediumRealization, p: float, zero_order: np.ndarray,
-                   sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+def _assemble_into(m: med.MediumRealization, p: float, sub: np.ndarray,
+                   diag: np.ndarray, sup: np.ndarray,
                    tmp: np.ndarray) -> DiscreteOperator:
     """Write the rows of the module docstring into sub, diag and sup, using
     tmp as scratch.
 
     Each entry is rounded as flux_l + (p/h) a_half[i-1/2],
-    flux_r - (p/h) a_half[i+1/2] and (-(flux_l + flux_r) + p^2 a) +
-    zero_order, with flux_r = a_half[i+1/2] * (1/h^2) and
-    flux_l[i] = flux_r[i-1], so buffers written over hold the same bits as
-    fresh ones.
+    flux_r - (p/h) a_half[i+1/2] and (-(flux_l + flux_r) + p^2 a) + c, with
+    flux_r = a_half[i+1/2] * (1/h^2) and flux_l[i] = flux_r[i-1], so
+    buffers written over hold the same bits as fresh ones.
     """
     h = m.h
     if h * abs(p) >= 1.0:
@@ -169,33 +168,18 @@ def _assemble_into(m: med.MediumRealization, p: float, zero_order: np.ndarray,
     np.multiply(tilt, m.a_half, out=sup)
     np.subtract(flux_r, sup, out=sup)
     # the diagonal reuses the rounded flux terms so that row sums vanish
-    # exactly (in floating point) when p = 0 and the zero-order term is 0
+    # exactly (in floating point) when p = 0 and c = 0
     np.add(flux_l, flux_r, out=diag)
     np.negative(diag, out=diag)
     np.add(diag, np.multiply(p * p, m.a, out=tmp), out=diag)
-    np.add(diag, zero_order, out=diag)
+    np.add(diag, m.c, out=diag)
     return DiscreteOperator(N=m.N, h=h, sub=sub, diag=diag, sup=sup, p=p)
-
-
-def _assemble(m: med.MediumRealization, p: float, zero_order: np.ndarray) -> DiscreteOperator:
-    return _assemble_into(m, p, zero_order, np.empty(m.N), np.empty(m.N),
-                          np.empty(m.N), np.empty(m.N))
 
 
 def assemble_tilted(m: med.MediumRealization, p: float) -> DiscreteOperator:
     """Matrix of L_p for the realization's own reaction-rate field c."""
-    return _assemble(m, p, m.c)
-
-
-def assemble_symmetric(m: med.MediumRealization, potential: np.ndarray) -> DiscreteOperator:
-    """Self-adjoint p = 0 operator with a supplied zero-order coefficient.
-
-    Used by the variational formula, where the potential is c + a (p+theta)^2.
-    """
-    potential = np.asarray(potential, dtype=float)
-    if potential.shape != (m.N,):
-        raise ValueError("potential has wrong shape")
-    return _assemble(m, 0.0, potential)
+    return _assemble_into(m, p, np.empty(m.N), np.empty(m.N), np.empty(m.N),
+                          np.empty(m.N))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -259,8 +243,8 @@ class TiltWorkspace(Workspace):
         """The matrix of L_p, in this workspace's diagonals."""
         for arr in (self.sub, self.diag, self.sup):
             arr.flags.writeable = True  # the last tilt's operator froze them
-        return _assemble_into(self.m, p, self.m.c, self.sub, self.diag,
-                              self.sup, self.tmp)
+        return _assemble_into(self.m, p, self.sub, self.diag, self.sup,
+                              self.tmp)
 
 
 def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,

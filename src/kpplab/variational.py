@@ -1,14 +1,18 @@
-"""Variational formula for the tilted eigenvalue.
+"""Variational formula for the tilted eigenvalue, exact on the grid.
 
-k_p equals the infimum over mean-zero bounded drift fields theta of the
-self-adjoint eigenvalue k_0(a, c + a (p + theta)^2).  This module evaluates
-that objective and minimizes it by a projected Newton descent: the gradient
-comes from first-order perturbation of the symmetric operator and the
-Hessian from second-order perturbation, and each Newton system is solved
-directly, by one cyclic tridiagonal factorization and a rank-two
-correction.  It also provides two closed-form reference fields: the minimizer
-built from the eigenfunctions of the +p and -p tilted operators, and the
-homogenized drift that attains the harmonic-mean lower bound.
+For a positive periodic diagonal D, k_p = lam_1(D^-1 A_p D) is at most the
+top eigenvalue of that matrix's symmetric part; A_p's transpose is A_{-p},
+and at D = sqrt(phi_p / phi_{-p}) the left and right Perron vectors of
+D^-1 A_p D coincide, so the bound is attained.  With
+D[i+1] / D[i] = exp(-h theta[i]), theta a mean-zero drift on the N edges of
+the periodic grid, k_p = min_theta lam_max(S_p(theta)): S_p(theta) keeps
+A_p's diagonal and has off[i] = (sup[i] e^{-h theta[i]} +
+sub[i+1] e^{h theta[i]}) / 2 on edge i, and its continuum limit is [BN1]'s
+k_0(a, c + a (p + theta)^2).  This module minimizes that objective by a
+projected Newton descent, each Newton system solved directly by one cyclic
+tridiagonal factorization and a rank-two correction.  It also provides the
+exact minimizer, built from the +p and -p eigenfunctions, and the
+homogenized drift, which attains the harmonic-mean bound in the continuum.
 """
 
 from __future__ import annotations
@@ -21,17 +25,13 @@ import numpy as np
 from . import medium as med
 from . import operators as ops
 from .operators import NoConvergence
-from .results import NumericalFailure
 from .tridiag import NotPositiveDefinite, ShiftedSPDCyclicSolver
-
-
-class DegenerateTilt(NumericalFailure, ValueError):
-    """Requested construction needs k_p strictly above k_0."""
 
 
 @dataclass(frozen=True)
 class ThetaField:
-    """Mean-zero bounded drift field on the realization grid.
+    """Mean-zero bounded drift field on the N edges of the periodic grid:
+    theta[i] lives on the edge from node i to node i + 1 (mod N).
 
     Raises ValueError unless |mean(theta)| <= 1e-12 * sup_norm.
     """
@@ -60,7 +60,7 @@ class ThetaResult:
     """Outcome of the eigenvalue minimization over drift fields."""
 
     theta: ThetaField
-    k0_value: float
+    k0_value: float  # lam_max(S_p(theta)) at the returned theta
     grad_norm: float
     iters: int  # accepted Newton steps, of both descents after a restart
     kp_direct: float  # k_p from the direct tilted solve
@@ -78,81 +78,91 @@ def zero_theta(m: med.MediumRealization) -> ThetaField:
 
 def k0_with_theta(m: med.MediumRealization, p: float, theta: ThetaField,
                   tol: float = 1e-8) -> float:
-    """Objective of the variational formula: k_0(a, c + a (p + theta)^2)."""
+    """Objective of the variational formula: lam_max(S_p(theta)).
+
+    It is at least k_p for every mean-zero theta, with equality at
+    ``theta_closed_form``'s field; its continuum limit is
+    k_0(a, c + a (p + theta)^2).
+    """
     if theta.theta.shape != (m.N,):
         raise ValueError("theta grid does not match the realization")
-    return _eigenpair(m, p, theta.theta, tol)[0]
+    return _eigenpair(ops.assemble_tilted(m, p), theta.theta, tol)[0]
 
 
-def _eigenpair(m, p, theta, tol, v0=None, ceiling=np.inf):
-    potential = m.c + m.a * (p + theta) ** 2
-    op = ops.assemble_symmetric(m, potential)
+def _edges(a, theta):
+    """Entries (i, i+1) and (i+1, i) of D^-1 A_p D on each edge i, a = A_p:
+    sup[i] e^{-h theta[i]} and sub[i+1] e^{h theta[i]}."""
+    grow = np.exp(a.h * theta)
+    return a.sup / grow, np.roll(a.sub, -1) * grow
+
+
+def _eigenpair(a, theta, tol, v0=None, ceiling=np.inf):
+    off = 0.5 * np.add(*_edges(a, theta))
+    op = ops.DiscreteOperator(N=a.N, h=a.h, sub=np.roll(off, 1), diag=a.diag,
+                              sup=off, p=0.0)
     res = ops.principal_eigen(op, tol=tol, v0=v0, ceiling=ceiling)
     return res.lam, res.phi, op
 
 
-def _gradient(m, p, theta, phi):
-    """Unit eigenvector u, u b with b = 2 a (p + theta), and the gradient.
+def _gradient(a, theta, phi):
+    """Unit eigenvector u, d[i] = d off[i] / d theta[i] and the gradient.
 
-    First-order perturbation of the symmetric operator gives
-    d k_0 / d theta[i] = u[i]^2 b[i]; it is returned projected to zero mean.
+    d[i] = h (sub[i+1] e^{h theta[i]} - sup[i] e^{-h theta[i]}) / 2, and
+    first-order perturbation gives d lam / d theta[i] = 2 d[i] u[i] u[i+1],
+    returned projected to zero mean.
     """
     u = phi / np.sqrt(ops._dot(phi, phi))
-    ub = 2.0 * m.a * (p + theta) * u
-    grad = u * ub
-    return u, ub, grad - np.mean(grad)
+    back, fwd = _edges(a, theta)
+    d = (0.5 * a.h) * (fwd - back)
+    grad = 2.0 * d * u * np.roll(u, -1)
+    return u, d, grad - np.mean(grad)
 
 
 def minimize_theta(m: med.MediumRealization, p: float,
                    max_iters: int = 600) -> ThetaResult:
     """Projected Newton descent on theta for the variational objective.
 
-    The objective is convex in theta (a monotone convex eigenvalue composed
-    with the pointwise convex map theta -> a (p+theta)^2), so a descent that
-    reaches a zero gradient has found the global infimum.  The descent
-    starts from the homogenized drift and runs ``_descend``.  On a localized
-    medium it can crawl: the top eigenvalue is a near-degenerate maximum
-    over localized wells, and a Newton step lowers one well at a time.  So
-    a descent that stops anything but "converged" is restarted once from
-    ``theta_closed_form``, the minimizer built from the +p and -p tilted
-    eigenfunctions, with the steps left of max_iters; of the two results
-    the one with the lower eigenvalue is returned, and ``start`` names
-    where its descent began.  A closed form that raises DegenerateTilt
-    keeps the first result.  The direct k_p, a cold +p solve, is made once,
-    before the descent, and the closed form reuses it.  ``iters`` counts
-    the accepted Newton steps of both descents and ``solves`` every eigen
-    solve made: the direct k_p, the closed form's k_0 and -p solves, and
-    those of both descents.
+    The objective is convex in theta (lam_max is convex in the matrix and
+    does not decrease as a nonnegative off-diagonal entry grows, and each
+    entry is convex in its theta), so a descent that reaches a zero
+    gradient has found the minimum, k_p itself.  A_p is assembled once;
+    the descent starts from the homogenized drift and runs ``_descend``.  On a localized medium it can crawl: the top eigenvalue
+    is a near-degenerate maximum over localized wells, and a Newton step
+    lowers one well at a time.  So a descent that stops anything but
+    "converged" is restarted once from ``theta_closed_form``, the exact
+    minimizer, with the steps left of max_iters; of the two results the one
+    with the lower eigenvalue is returned, and ``start`` names where its
+    descent began.  The direct k_p, a cold +p solve, is made once, before
+    the descent, and the closed form reuses it.  ``iters`` counts the
+    accepted Newton steps of both descents and ``solves`` every eigen solve
+    made: the direct k_p, the closed form's -p solve and both descents'.
 
     Every eigenvalue the descent reaches is certified (``principal_eigen``
     brackets the top eigenvalue), and each Newton step checks it again: the
-    LDL^T factorization of (lam + delta) I - A exists exactly when lam is
-    within delta of it.  That factorization, or the Newton system's, failing
-    all the same raises NoConvergence.  The descents stop at a gradient
-    sup-norm below 1e-8, and every eigen solve has tolerance 1e-10.
-    max_iters below 0 raises ValueError.
+    LDL^T factorization of (lam + delta) I - S_p(theta) exists exactly when
+    lam is within delta of it.  That factorization, or the Newton system's,
+    failing all the same raises NoConvergence.  The descents stop at a
+    gradient sup-norm below 1e-8, and every eigen solve has tolerance
+    1e-10.  max_iters below 0 raises ValueError.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     tol, eig_tol = 1e-8, 1e-10
     kp = ops.k_p(m, p, tol=eig_tol)
+    a = ops.assemble_tilted(m, p)
     start = "homogenized"
     theta, lam, grad_norm, iters, solves, stop = _descend(
-        m, p, homogenized_theta(m, p).theta, tol, max_iters, eig_tol)
+        a, homogenized_theta(m, p).theta, tol, max_iters, eig_tol)
     solves += 1  # k_p
     if stop != "converged":
-        try:
-            closed = _closed_form(m, p, kp, eig_tol)
-        except DegenerateTilt:
-            solves += 1  # k_0
-        else:
-            c_theta, c_lam, c_grad, c_iters, c_solves, c_stop = _descend(
-                m, p, closed.theta, tol, max_iters - iters, eig_tol)
-            iters += c_iters
-            solves += 2 + c_solves
-            if c_lam < lam:
-                theta, lam, grad_norm, stop = c_theta, c_lam, c_grad, c_stop
-                start = "closed_form"
+        c_theta, c_lam, c_grad, c_iters, c_solves, c_stop = _descend(
+            a, _closed_form(m, p, kp, eig_tol).theta, tol, max_iters - iters,
+            eig_tol)
+        iters += c_iters
+        solves += 1 + c_solves  # the closed form's -p solve
+        if c_lam < lam:
+            theta, lam, grad_norm, stop = c_theta, c_lam, c_grad, c_stop
+            start = "closed_form"
     field = ThetaField.from_raw(theta, project=True)
     return ThetaResult(theta=field, k0_value=lam, grad_norm=grad_norm,
                        iters=iters, kp_direct=kp.lam,
@@ -160,8 +170,9 @@ def minimize_theta(m: med.MediumRealization, p: float,
                        solves=solves, stop=stop, start=start)
 
 
-def _descend(m, p, theta, tol, max_iters, eig_tol):
-    """Projected Newton descent from theta, at most max_iters steps.
+def _descend(a, theta, tol, max_iters, eig_tol):
+    """Projected Newton descent from theta on A_p = a, at most max_iters
+    steps.
 
     Each Newton step certifies lam (``_shifted_factor``), solves the Newton
     system on the mean-zero subspace directly (``_newton_direction``) and
@@ -173,7 +184,7 @@ def _descend(m, p, theta, tol, max_iters, eig_tol):
     ("max_iters").  Returns (theta, lam, grad_norm, iters, solves, stop).
     """
     theta = theta - np.mean(theta)
-    lam, phi, op = _eigenpair(m, p, theta, eig_tol)
+    lam, phi, op = _eigenpair(a, theta, eig_tol)
     solves = 1
     floor = 1e-12 * max(abs(lam), 1.0)  # eigenvalue resolution
     step = 1.0
@@ -185,7 +196,7 @@ def _descend(m, p, theta, tol, max_iters, eig_tol):
             _shifted_factor(op.diag, op.sup, lam)
         except NotPositiveDefinite as exc:
             raise NoConvergence(iters, grad_norm) from exc
-        u, ub, grad = _gradient(m, p, theta, phi)
+        u, d, grad = _gradient(a, theta, phi)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm < tol:
             stop = "converged"
@@ -197,11 +208,10 @@ def _descend(m, p, theta, tol, max_iters, eig_tol):
         if iters == max_iters:
             break
         try:
-            direction = _newton_direction(op, lam, u, ub, 2.0 * m.a * u * u,
-                                          grad)
+            direction = _newton_direction(op, lam, u, d, grad)
         except NotPositiveDefinite as exc:
             raise NoConvergence(iters, grad_norm) from exc
-        accepted, n = _line_search(m, p, theta, lam, phi, direction,
+        accepted, n = _line_search(a, theta, lam, phi, direction,
                                    ops._dot(grad, direction),
                                    min(1.0, 4.0 * step), eig_tol, floor)
         solves += n
@@ -217,8 +227,8 @@ def _shifted_factor(diag, off, lam):
     tridiagonal matrix with diagonal diag and off-diagonals off.
 
     The matrix is positive definite exactly when lam + delta lies above T's
-    top eigenvalue, so for T = A, the symmetric operator, the constructor's
-    NotPositiveDefinite says that lam is not A's top eigenvalue (to within
+    top eigenvalue, so for T = S_p(theta) the constructor's
+    NotPositiveDefinite says that lam is not its top eigenvalue (to within
     delta).
     """
     delta = 1e-8 * max(abs(lam), 1.0)
@@ -227,58 +237,62 @@ def _shifted_factor(diag, off, lam):
     return solver
 
 
-def _newton_direction(op, lam, u, ub, curv, grad):
+def _newton_direction(op, lam, u, d, grad):
     """Newton direction of the top eigenvalue at theta, by a direct solve.
 
-    The Hessian of the simple top eigenvalue is H = C + 2 W R W, with
-    C = diag(curv), curv = 2 a u^2 floored at 1e-4 of its max, W = diag(u b)
-    and R = P M^{-1} P the reduced resolvent: M = (lam + delta) I - A as in
-    ``_shifted_factor``, P = I - u u^T (the small delta keeps M nonsingular
-    along u; every other eigenvalue of A lies below lam, so it barely
-    changes R there).  The direction x solves H x + mu 1 = -grad with
-    sum(x) = 0.  With y = M^{-1} P W x, x = -C^{-1} (grad + mu 1 + 2 W P y)
-    and (M + 2 P K P) y = -P F (grad + mu 1), where K = diag((u b)^2 / C)
-    and F = diag(u b / C).  M + 2K = (lam + delta) I - (A - 2K) is
-    symmetric cyclic tridiagonal and positive definite, and is factored
-    once; P K P - K = U S U^T, with U = [u, K u] and
-    S = [[u.K u, -1], [-1, 0]], enters by a 2x2 Woodbury correction.  Four
-    solves, on u, K u, P F grad and P F 1, give y for mu = 0 and per unit
-    mu, and mu follows from sum(x) = 0.
+    The Hessian of the simple top eigenvalue of S = S_p(theta) (op) is
+    H = C + 2 G^T R G.  C is diagonal, C[i] = u^T (d^2 S / d theta[i]^2) u =
+    2 h^2 u[i] u[i+1] off[i], floored at 1e-4 of its max.  G is the cyclic
+    bidiagonal map whose column i is (dS / d theta[i]) u:
+    (G q)[i] = d[i] u[i+1] q[i] + d[i-1] u[i-1] q[i-1].  R = P M^{-1} P is
+    the reduced resolvent: M = (lam + delta) I - S as in ``_shifted_factor``,
+    P = I - u u^T (the small delta keeps M nonsingular along u; every other
+    eigenvalue of S lies below lam, so it barely changes R there).  The
+    direction x solves H x + mu 1 = -grad with sum(x) = 0.  With
+    y = M^{-1} P G x, x = -C^{-1} (grad + mu 1 + 2 G^T P y) and
+    (M + 2 P K P) y = -P G C^{-1} (grad + mu 1), where K = G C^{-1} G^T is
+    symmetric cyclic tridiagonal.  M + 2K = (lam + delta) I - (S - 2K) is
+    positive definite and is factored once; P K P - K = U Q U^T, with
+    U = [u, K u] and Q = [[u.K u, -1], [-1, 0]], enters by a 2x2 Woodbury
+    correction.  Four solves, on u, K u, P G C^{-1} grad and P G C^{-1} 1,
+    give y for mu = 0 and per unit mu, and mu follows from sum(x) = 0.
     """
-    c = np.maximum(curv, 1e-4 * np.max(curv))
-    f = ub / c
-    k = ub * f
-    ku = k * u
-    s = ops._dot(u, ku)
-    k *= -2.0
-    k += op.diag  # the diagonal of A - 2K
-    solver = _shifted_factor(k, op.sup, lam)
-    # separate N-vectors: one stacked 4 x N array raised theta_descent's
-    # peak RSS by about 0.9 MB
+    u_next = np.roll(u, -1)
+    c = (2.0 * op.h * op.h) * u * u_next * op.sup
+    c = np.maximum(c, 1e-4 * np.max(c))
+    right, left = d * u_next, d * u  # edge i's weights at nodes i and i + 1
+    right_c, left_c = right / c, left / c
+
+    def spread(q):  # G C^{-1} q
+        return right_c * q + np.roll(left_c * q, 1)
+
+    ku = spread(2.0 * right * u)  # G^T u = 2 d u u_next
+    solver = _shifted_factor(
+        op.diag - 2.0 * (right * right_c + np.roll(left * left_c, 1)),
+        op.sup - 2.0 * right * left_c, lam)  # (S - 2K)'s diagonals
     basis = [u.copy(), ku.copy()]  # U, then (M + 2K)^{-1} U
-    rhs = [f * grad, f]  # P F grad and P F 1, then solved
+    rhs = [spread(grad), spread(1.0)]  # P G C^{-1} grad and 1, then solved
     for r in rhs:
         r -= ops._dot(u, r) * u
     for col in basis + rhs:
         solver.solve_factored(col)
     gram = np.array([[ops._dot(v, col) for col in basis + rhs]
                      for v in (u, ku)])
-    capacitance = np.array([[0.0, -0.5], [-0.5, -0.5 * s]]) + gram[:, :2]
+    capacitance = (np.array([[0.0, -0.5], [-0.5, -0.5 * ops._dot(u, ku)]])
+                   + gram[:, :2])
     coef = np.linalg.solve(capacitance, gram[:, 2:])
-    for z, (c0, c1), one in zip(rhs, coef.T, (grad, 1.0)):
-        # z = (M + 2 P K P)^{-1} r, projected by P; then the x term it gives
+    for z, (c0, c1) in zip(rhs, coef.T):
+        # z = (M + 2 P K P)^{-1} r, projected by P
         z -= c0 * basis[0]
         z -= c1 * basis[1]
         z -= ops._dot(u, z) * u
-        z *= -2.0 * ub
-        z += one
-        z /= c
-    x_g, x_1 = rhs  # x = -x_g - mu x_1
+    x_g, x_1 = [(one - 2.0 * (right * z + left * np.roll(z, -1))) / c
+                for z, one in zip(rhs, (grad, 1.0))]  # x = -x_g - mu x_1
     return x_1 * (np.sum(x_g) / np.sum(x_1)) - x_g
 
 
-def _line_search(m, p, theta, lam, phi, direction, slope, t, eig_tol, floor):
-    """Armijo backtracking along direction from step t.
+def _line_search(a, theta, lam, phi, direction, slope, t, eig_tol, floor):
+    """Armijo backtracking along direction from step t, on A_p = a.
 
     Each trial solve gets the Armijo value lam + 1e-4 t slope as its
     ceiling, so a trial whose top eigenvalue lies above it stops as soon as
@@ -298,7 +312,7 @@ def _line_search(m, p, theta, lam, phi, direction, slope, t, eig_tol, floor):
         cand -= np.mean(cand)
         solves += 1
         try:
-            lam_t, phi_t, op_t = _eigenpair(m, p, cand, eig_tol, v0=phi,
+            lam_t, phi_t, op_t = _eigenpair(a, cand, eig_tol, v0=phi,
                                             ceiling=lam + 1e-4 * t * slope)
         except ops.AboveCeiling as above:
             fit = -slope * t * t / (2.0 * (above.bound - lam - slope * t))
@@ -311,44 +325,38 @@ def _line_search(m, p, theta, lam, phi, direction, slope, t, eig_tol, floor):
 def theta_gradient(m: med.MediumRealization, p: float, theta: ThetaField,
                    tol: float = 1e-12) -> np.ndarray:
     """Mean-projected eigenvalue gradient at theta (for gradient checks)."""
-    _, phi, _ = _eigenpair(m, p, theta.theta, tol)
-    return _gradient(m, p, theta.theta, phi)[2]
+    a = ops.assemble_tilted(m, p)
+    _, phi, _ = _eigenpair(a, theta.theta, tol)
+    return _gradient(a, theta.theta, phi)[2]
 
 
 def theta_closed_form(m: med.MediumRealization, p: float,
                       tol: float = 1e-8) -> ThetaField:
-    """Exact minimizer built from the +p and -p eigenfunctions.
+    """Exact minimizer of the variational objective, from the +p and -p
+    eigenfunctions.
 
-    theta = (-phi'/phi + psi'/psi)/2 where phi, psi are the positive
-    eigenfunctions of the tilted operators with tilts +p and -p; log
-    derivatives use centered differences on the periodic grid.  Requires
-    k_p > k_0 + 10*tol (away from the degenerate flat piece of p -> k_p,
-    where the minimizer comes from a scaling argument instead).
+    theta[i] = (l[i+1] - l[i]) / (2h) with l = log(phi_{-p} / phi_p), the
+    drift of D = sqrt(phi_p / phi_{-p}): lam_max(S_p(theta)) equals k_p up
+    to the two solves' tolerance tol, at every tilt.  The raw field sums to
+    zero around the circle up to rounding, and is projected.
     """
     return _closed_form(m, p, ops.k_p(m, p, tol=tol), tol)
 
 
 def _closed_form(m, p, kp, tol):
     """theta_closed_form's field from kp, the cold +p solve at tol."""
-    k0 = ops.k_p(m, 0.0, tol=tol)
-    if not kp.lam > k0.lam + 10.0 * tol:
-        raise DegenerateTilt(
-            f"k_p = {kp.lam:g} is not above k_0 = {k0.lam:g} + 10*tol")
-    km = ops.k_p(m, -p, tol=tol)
-    log_phi = np.log(kp.phi)
-    log_psi = np.log(km.phi)
-    two_h = 2.0 * m.h
-    dlog_phi = (np.roll(log_phi, -1) - np.roll(log_phi, 1)) / two_h
-    dlog_psi = (np.roll(log_psi, -1) - np.roll(log_psi, 1)) / two_h
-    return ThetaField.from_raw(0.5 * (-dlog_phi + dlog_psi), project=True)
+    log_ratio = np.log(ops.k_p(m, -p, tol=tol).phi)
+    log_ratio -= np.log(kp.phi)
+    return ThetaField.from_raw(
+        (np.roll(log_ratio, -1) - log_ratio) / (2.0 * m.h), project=True)
 
 
 def homogenized_theta(m: med.MediumRealization, p: float) -> ThetaField:
     """Drift attaining the harmonic-mean bound: p (1/(E[1/a] a) - 1).
 
     Minimizes the window average of a (p + theta)^2 over mean-zero theta;
-    plugging it into the variational objective yields the homogenized lower
-    bound mean_c + p^2 / mean(1/a).
+    plugged into the objective's continuum limit it yields the homogenized
+    lower bound mean_c + p^2 / mean(1/a).  The drift descent starts from it.
     """
     mean_inv_a = float(np.mean(1.0 / m.a))
     return ThetaField.from_raw(p * (1.0 / (mean_inv_a * m.a) - 1.0), project=True)

@@ -130,25 +130,39 @@ def test_negative_descent_budget_is_a_usage_error(tmp_path, capsys):
             "--max-iters", "-1", cfg=write_config(tmp_path))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "kpplab: error: max_iters must be at least 0, got -1" in err
+    assert ("kpplab variational minimize: error: argument --max-iters: "
+            "must be at least 0, got -1" in err)
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
     ["variational", "minimize", "--max-iters", "-1"],
-    ["pde", "dichotomy", "--deltas", "-0.5", "--w-star", "2"],
+    ["pde", "dichotomy", "--deltas", "-0.5"],
     ["eigen", "kp", "--p-count", "-1"],
     ["freidlin", "mu", "--gamma-count", "-1"],
 ], ids=["descent_budget", "dichotomy_delta", "kp_count", "gamma_count"])
-def test_refused_argument_leaves_no_output_directory(tmp_path, capsys, argv):
+def test_refused_argument_leaves_no_output_directory(tmp_path, capsys,
+                                                     monkeypatch, argv):
     # --out is made only at a command's first write, after its inputs are
-    # checked
+    # checked; a refused argument is refused at parse time, before any
+    # eigen solve (without --p or --w-star a command would search for w*)
+    solved = []
+    k_p = ops.k_p
+
+    def counting(m, p, tol=1e-8, v0=None, ceiling=float("inf"), *, ws=None):
+        solved.append(p)
+        return k_p(m, p, tol=tol, v0=v0, ceiling=ceiling, ws=ws)
+
+    monkeypatch.setattr(ops, "k_p", counting)
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, *argv, cfg=write_config(tmp_path))
     assert exc.value.code == 2
-    assert "kpplab: error: " in capsys.readouterr().err
+    command, subcommand, flag, _ = argv
+    assert (f"kpplab {command} {subcommand}: error: argument {flag}: "
+            "must be at least 0, got -" in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+    assert solved == []
 
 
 def test_medium_sample(tmp_path, capsys):
@@ -373,8 +387,7 @@ def test_numerical_failure_family():
                       (pde.CFLViolation, ValueError),
                       (pde.FrontEscaped, RuntimeError),
                       (pde.TooFewSnapshots, ValueError),
-                      (var.NoConvergence, RuntimeError),
-                      (var.DegenerateTilt, ValueError)]:
+                      (var.NoConvergence, RuntimeError)]:
         assert issubclass(cls, NumericalFailure) and issubclass(cls, base)
 
 

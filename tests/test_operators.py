@@ -169,7 +169,8 @@ def test_symmetric_sweep_makes_one_pttrf_call_and_no_gtsv(monkeypatch):
 
 def test_ceiling_stops_a_symmetric_solve_with_a_certified_bound():
     m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
-    op = ops.assemble_symmetric(m, m.c + 0.5 * m.a)
+    op = ops.assemble_tilted(med.replace_c(m, m.c + 0.5 * m.a, "shift"),
+                             0.0)
     cold = ops.principal_eigen(op, tol=1e-12)
     for ceiling in (cold.lam - 1e-2, cold.lam - 1e-6):
         with pytest.raises(ops.AboveCeiling) as stop:
@@ -642,7 +643,8 @@ def test_stopped_solves_leave_no_reference_cycle():
     # cycle that only the garbage collector frees
     m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
     v0 = np.random.default_rng(0).random(m.N) + 0.1  # far from the root
-    for op in (ops.assemble_symmetric(m, m.c + 0.5 * m.a),
+    symmetric = med.replace_c(m, m.c + 0.5 * m.a, "shift")
+    for op in (ops.assemble_tilted(symmetric, 0.0),
                ops.assemble_tilted(m, 0.5), ops.assemble_tilted(m, -0.5)):
         top = ops.principal_eigen(op, tol=1e-10).lam
         gc.disable()

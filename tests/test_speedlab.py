@@ -145,6 +145,15 @@ def test_suite_eigen_properties_small():
     assert "Lyapunov duality" in claims
 
 
+def test_eigen_properties_verifies_both_attainment_sides_at_h_002():
+    # the descent minimizes the discrete identity itself, so a converged
+    # descent sits on k_p and clears the lower gate at h = 0.02 too
+    rep = lab.suite_eigen_properties(lab.make_config(X=60.0, h=0.02, seeds=2))
+    verdicts = {v.claim: v.verdict for v in rep.verdicts}
+    assert verdicts["variational attainment (upper side)"] == "verified"
+    assert verdicts["variational attainment (lower side)"] == "verified"
+
+
 def test_run_suite_writes_reproducible_payloads(tmp_path):
     cfg = small_config(X=60.0, seeds=2,
                        p_grid=[-1.0, -0.5, 0.0, 0.5, 1.0],

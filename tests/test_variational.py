@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from kpplab import medium as med
 from kpplab import operators as ops
@@ -10,11 +11,15 @@ from conftest import MASTER, constant_medium, dimer_medium, dimer_spec, trig_spe
 
 
 def _assert_top_eigenvalue(m, p, theta, lam):
-    """(lam + delta) I - A factors as LDL^T at theta, so lam is the top
-    eigenvalue there to within the descent's delta."""
-    op = ops.assemble_symmetric(m, m.c + m.a * (p + theta) ** 2)
+    """(lam + delta) I - S_p(theta) factors as LDL^T, so lam is the top
+    eigenvalue there to within the descent's delta.  S_p(theta) has A_p's
+    diagonal and (sup[i] e^{-h theta[i]} + sub[i+1] e^{h theta[i]}) / 2 on
+    edge i."""
+    a = ops.assemble_tilted(m, p)
+    grow = np.exp(m.h * theta)
+    off = 0.5 * (a.sup / grow + np.roll(a.sub, -1) * grow)
     delta = 1e-8 * max(abs(lam), 1.0)
-    ShiftedSPDCyclicSolver(op.diag, op.sup).factor(lam + delta)
+    ShiftedSPDCyclicSolver(a.diag, off).factor(lam + delta)
 
 
 def test_zero_theta_constant_potential():
@@ -71,11 +76,9 @@ def test_closed_form_theta_achieves_kp():
     val = var.k0_with_theta(m, p, th, tol=1e-12)
     assert abs(val - kp) <= 1e-3 * kp
 
-    def dlog(phi):
-        return (np.roll(np.log(phi), -1) - np.roll(np.log(phi), 1)) / (2.0 * m.h)
-
-    # mean of the raw (unprojected) field telescopes around the circle
-    raw = 0.5 * (-dlog(ops.k_p(m, p).phi) + dlog(ops.k_p(m, -p).phi))
+    # the raw (unprojected) forward differences telescope around the circle
+    log_ratio = np.log(ops.k_p(m, -p).phi) - np.log(ops.k_p(m, p).phi)
+    raw = (np.roll(log_ratio, -1) - log_ratio) / (2.0 * m.h)
     assert abs(float(np.mean(raw))) <= 1e-10
 
 
@@ -85,10 +88,19 @@ def test_closed_form_constant_medium_is_zero():
     assert np.max(np.abs(th.theta)) <= 1e-6
 
 
-def test_closed_form_requires_nondegenerate_tilt():
-    m = constant_medium(X=50.0, h=0.02)
-    with pytest.raises(var.DegenerateTilt):
-        var.theta_closed_form(m, 1e-6, tol=1e-8)
+@pytest.mark.parametrize("h", [0.02, 0.04])
+def test_descent_and_closed_form_attain_k_p_exactly(h):
+    # k_p = min over mean-zero theta of lam_max(S_p(theta)) holds for the
+    # discrete operator itself, with no O(h^2) offset: the converged
+    # descent and the closed form both land on k_p to the solves' tolerance
+    m = dimer_medium(X=60.0, h=h, jitter=0.3)
+    p = 1.5 * ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4).optimizer
+    kp = ops.k_p(m, p, tol=1e-10).lam
+    res = var.minimize_theta(m, p, max_iters=300)
+    assert res.stop == "converged"
+    assert abs(res.gap_vs_direct) <= 1e-9 * kp
+    th = var.theta_closed_form(m, p, tol=1e-10)
+    assert abs(var.k0_with_theta(m, p, th, tol=1e-12) - kp) <= 1e-9 * kp
 
 
 def test_minimize_theta_homogeneous():
@@ -168,38 +180,6 @@ def test_restart_solves_k_p_at_plus_p_once(monkeypatch):
     assert res.kp_direct == ops.k_p(m, p, tol=1e-10).lam
 
 
-def test_degenerate_closed_form_solves_k_p_at_plus_p_once(monkeypatch):
-    # at a tilt this small the restart's closed form raises DegenerateTilt
-    # and the first descent stands; its direct k_p is solved once, before
-    # the descent, and the closed form adds only k_0
-    m = dimer_medium(X=50.0, h=0.01)
-    p = 1e-6
-    descend = var._descend
-    descents = []
-
-    def stagnating(*args):
-        *out, _ = descend(*args)
-        descents.append(out[4])
-        return (*out, "stagnated")
-
-    cold = []
-    k_p = ops.k_p
-
-    def counting(m, q, tol=1e-8, v0=None, ceiling=float("inf")):
-        if v0 is None:
-            cold.append(q)
-        return k_p(m, q, tol=tol, v0=v0, ceiling=ceiling)
-
-    monkeypatch.setattr(var, "_descend", stagnating)
-    monkeypatch.setattr(ops, "k_p", counting)
-    res = var.minimize_theta(m, p, max_iters=300)
-    monkeypatch.undo()
-    assert (res.stop, res.start) == ("stagnated", "homogenized")
-    assert cold == [p, 0.0]
-    assert res.solves == descents[0] + 2
-    assert res.kp_direct == ops.k_p(m, p, tol=1e-10).lam
-
-
 def test_negative_max_iters_is_refused():
     m = constant_medium(X=50.0, h=0.02)
     with pytest.raises(ValueError, match="max_iters must be at least 0"):
@@ -207,26 +187,35 @@ def test_negative_max_iters_is_refused():
 
 
 def test_newton_direction_solves_the_projected_newton_system():
-    # H = C + 2 W R W applied as a Hessian-vector product: C = diag(2 a u^2)
-    # floored at 1e-4 of its max, W = diag(u b), R the reduced resolvent by
-    # one solve with the factored (lam + delta) I - A, u projected out on
+    # H = C + 2 G^T R G applied as a Hessian-vector product:
+    # C = diag(2 h^2 u[i] u[i+1] off[i]) floored at 1e-4 of its max, G the
+    # sparse map whose column i is (dS/dtheta[i]) u, R the reduced resolvent
+    # by one solve with the factored (lam + delta) I - S, u projected out on
     # both sides; the direction solves H x = -g on the mean-zero subspace,
     # at the homogenized start and at a point after one full Newton step
     m = dimer_medium(X=100.0, h=0.005, eps=0.1, jitter=0.3)
     p = 1.5 * ops.speed_from_kp(m, 0.3, 3.0, tol=1e-4).optimizer
+    a = ops.assemble_tilted(m, p)
     theta = var.homogenized_theta(m, p).theta
+    edges = np.arange(m.N)
     for _ in range(2):
-        lam, phi, op = var._eigenpair(m, p, theta, 1e-10)
-        u, ub, grad = var._gradient(m, p, theta, phi)
-        curv = 2.0 * m.a * u * u
-        x = var._newton_direction(op, lam, u, ub, curv, grad)
+        lam, phi, op = var._eigenpair(a, theta, 1e-10)
+        u, d, grad = var._gradient(a, theta, phi)
+        x = var._newton_direction(op, lam, u, d, grad)
+        u_next = np.roll(u, -1)
+        curv = 2.0 * m.h ** 2 * u * u_next * op.sup
         c = np.maximum(curv, 1e-4 * np.max(curv))
+        # dS/dtheta[i] is d[i] at (i, i+1) and (i+1, i)
+        g = sparse.csr_matrix(
+            (np.concatenate([d * u_next, d * u]),
+             (np.concatenate([edges, (edges + 1) % m.N]),
+              np.concatenate([edges, edges]))), shape=(m.N, m.N))
         resolvent = var._shifted_factor(op.diag, op.sup, lam)
-        y = ub * x
+        y = g @ x
         y -= np.dot(u, y) * u
         resolvent.solve_factored(y)
         y -= np.dot(u, y) * u
-        hx = c * x + 2.0 * ub * y
+        hx = c * x + 2.0 * (g.T @ y)
         residual = hx - np.mean(hx) + grad
         assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(grad)
         assert abs(np.mean(x)) <= 1e-12 * np.max(np.abs(x))
@@ -252,7 +241,8 @@ def test_newton_step_factors_twice_and_solves_four_times(monkeypatch):
     monkeypatch.setattr(var, "ShiftedSPDCyclicSolver", Counted)
     m = dimer_medium(X=50.0, h=0.01, eps=0.1, jitter=0.3)
     p = 1.5
-    *_, iters, _, stop = var._descend(m, p, var.homogenized_theta(m, p).theta,
+    *_, iters, _, stop = var._descend(ops.assemble_tilted(m, p),
+                                      var.homogenized_theta(m, p).theta,
                                       1e-8, 60, 1e-10)
     assert stop == "converged" and iters > 0
     assert calls == {"factor": 2 * iters + 1, "solve": 4 * iters}
@@ -263,9 +253,10 @@ def test_line_search_rejects_trials_at_their_armijo_ceiling(monkeypatch):
     # certified lower bound puts its top eigenvalue above the Armijo value
     m = dimer_medium(X=50.0, h=0.01, eps=0.1, jitter=0.3)
     p = 1.5
+    a = ops.assemble_tilted(m, p)
     theta = var.homogenized_theta(m, p).theta.copy()
-    lam, phi, _ = var._eigenpair(m, p, theta, 1e-10)
-    grad = var._gradient(m, p, theta, phi)[2]
+    lam, phi, _ = var._eigenpair(a, theta, 1e-10)
+    grad = var._gradient(a, theta, phi)[2]
     direction = -grad / np.max(np.abs(grad))
     trials = []
     solve = ops.principal_eigen
@@ -280,7 +271,7 @@ def test_line_search_rejects_trials_at_their_armijo_ceiling(monkeypatch):
         return res
 
     monkeypatch.setattr(ops, "principal_eigen", recorded)
-    accepted, solves = var._line_search(m, p, theta, lam, phi, direction,
+    accepted, solves = var._line_search(a, theta, lam, phi, direction,
                                         ops._dot(grad, direction), 2.0, 1e-10,
                                         1e-12 * lam)
     assert accepted is not None and accepted[0] < 2.0
@@ -296,7 +287,8 @@ def test_minimize_from_closed_form_terminates_quickly():
     m = dimer_medium(X=100.0, h=0.005, eps=0.1, jitter=0.3)
     p = 1.5
     th = var.theta_closed_form(m, p, tol=1e-10)
-    theta, lam, _, iters, _, _ = var._descend(m, p, th.theta, 1e-8, 60, 1e-10)
+    theta, lam, _, iters, _, _ = var._descend(ops.assemble_tilted(m, p),
+                                              th.theta, 1e-8, 60, 1e-10)
     _assert_top_eigenvalue(m, p, theta, lam)
     kp = ops.k_p(m, p, tol=1e-10).lam
     assert abs(lam - kp) <= 1e-3 * kp
