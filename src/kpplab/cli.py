@@ -46,12 +46,11 @@ def _load_config(args) -> dict:
         overrides = json.loads(text)
         if not isinstance(overrides, dict):
             raise ValueError("--config must hold a JSON object")
-    cfg = lab.make_config(**overrides)
     if args.seed is not None:
-        cfg["master_seed"] = args.seed
+        overrides["master_seed"] = args.seed
     if args.tol is not None:
-        cfg["tol"] = args.tol
-    return cfg
+        overrides["tol"] = args.tol
+    return lab.make_config(**overrides)
 
 
 def _setup(args, pde_grid: bool = False):

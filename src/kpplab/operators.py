@@ -193,58 +193,41 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 class Workspace:
-    """The buffers of Perron solves on one matrix's diagonals, kept from one
-    solve to the next.
+    """The buffers of Perron solves on N x N matrices, kept from one solve
+    to the next; each solve takes its matrix as an argument.
 
-    The sweep's vectors: the iterate v, A v and a scratch vector; and, built
-    at the first test, the shifted solver of the diagonals (one per kind,
-    tilted or symmetric) with its LAPACK buffers, and a test's x and A x.
-    A solve overwrites them all, so the ``phi`` of an earlier solve through
-    the same workspace changes.  A workspace serves one thread at a time.
+    The sweep's vectors: the iterate v, A v and a scratch vector; built at
+    the first test, a test's x and A x and the shifted solver of each kind
+    (tilted or symmetric); and, built at k_p's first tilt, the diagonals
+    k_p assembles into.  A solve overwrites them all, so the ``phi`` of an
+    earlier solve through the same workspace changes.  A workspace serves
+    one thread at a time.
     """
 
-    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
-        n = diag.shape[0]
-        self.sub, self.diag, self.sup = sub, diag, sup
+    def __init__(self, n: int):
+        self.N = n
         self.v, self.av, self.tmp = np.empty(n), np.empty(n), np.empty(n)
-        self.x = self.ax = None
+        self.x = self.ax = self._diagonals = None
         self._solvers = {}
 
     def solver(self, symmetric: bool):
-        """The shifted solver of the diagonals, built at its first use."""
+        """The shifted solver of each kind, built at its first use."""
         solver = self._solvers.get(symmetric)
         if solver is None:
             solver = self._solvers[symmetric] = (
-                ShiftedSPDCyclicSolver(self.diag, self.sup) if symmetric
-                else ShiftedCyclicSolver(self.sub, self.diag, self.sup))
+                ShiftedSPDCyclicSolver(self.N) if symmetric
+                else ShiftedCyclicSolver(self.N))
             if self.x is None:
                 self.x, self.ax = np.empty_like(self.v), np.empty_like(self.v)
         return solver
 
-
-class TiltWorkspace(Workspace):
-    """A Workspace that owns its diagonals and assembles the tilted matrices
-    of one medium into them.
-
-    ``operator(p)`` writes the matrix of L_p over the previous tilt's, bit
-    for bit assemble_tilted's, through the scratch vector.  The parts that
-    do not depend on p (flux_r = a_half / h^2, a at i - 1/2, flux_l and
-    -(flux_l + flux_r)) are rebuilt on each tilt, by one product and slice
-    shifts, rather than kept, so a workspace holds no more vectors than its
-    solves need.  k_p solves in one; a speed search, or a k_p curve, builds
-    one and passes it to each of its k_p calls.
-    """
-
-    def __init__(self, m: med.MediumRealization):
-        super().__init__(np.empty(m.N), np.empty(m.N), np.empty(m.N))
-        self.m = m
-
-    def operator(self, p: float) -> DiscreteOperator:
-        """The matrix of L_p, in this workspace's diagonals."""
-        for arr in (self.sub, self.diag, self.sup):
+    def diagonals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Three writable N-vectors, the same on every call."""
+        if self._diagonals is None:
+            self._diagonals = tuple(np.empty(self.N) for _ in range(3))
+        for arr in self._diagonals:
             arr.flags.writeable = True  # the last tilt's operator froze them
-        return _assemble_into(self.m, p, self.sub, self.diag, self.sup,
-                              self.tmp)
+        return self._diagonals
 
 
 def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
@@ -302,11 +285,11 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
       of v.
     So does spending MAX_ITERS solves.
 
-    The solve writes only into ``ws``, a Workspace on op's own diagonals
-    (a fresh one when None): the returned ``phi`` is a view of one of its
-    buffers, which the next solve through ``ws`` overwrites.  The solver
-    and the buffers of x and A x are built at the workspace's first test: a
-    solve that its start bounds already settle builds none.
+    The solve writes only into ``ws``, a Workspace of size op.N (a fresh
+    one when None; another size raises ValueError): the returned ``phi`` is
+    a view of one of its buffers, which the next solve through ``ws``
+    overwrites.  The solver and the buffers of x and A x are built at the
+    workspace's first test: a solve that its start bounds settle builds none.
     A finite ``ceiling`` stops the solve with AboveCeiling as soon as lo
     exceeds it, sparing a caller that only needs to know whether
     lam1 <= ceiling the remaining solves.  Every lo is certified, at any
@@ -316,9 +299,9 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     """
     symmetric = op.p == 0
     if ws is None:
-        ws = Workspace(op.sub, op.diag, op.sup)
-    elif not (ws.sub is op.sub and ws.diag is op.diag and ws.sup is op.sup):
-        raise ValueError("ws is a workspace on another matrix's diagonals")
+        ws = Workspace(op.N)
+    elif ws.N != op.N:
+        raise ValueError(f"ws is a workspace of size {ws.N}, not {op.N}")
     # fmin skips NaN entries, as the elementwise test does, and unlike that
     # test it builds no temporary next to the workspace
     if np.fmin.reduce(op.sub) <= 0 or np.fmin.reduce(op.sup) <= 0:
@@ -389,12 +372,12 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
         # holds this frame, and the cycle would keep the buffers alive
         try:
             if symmetric:
-                solver.factor(sigma)
+                solver.factor(sigma, op.diag, op.sup)
                 np.copyto(x, v)
                 solver.solve_factored(x)
                 passed = True
             else:
-                solver.solve(sigma, v, out=x)
+                solver.solve(sigma, op.sub, op.diag, op.sup, v, out=x)
                 passed = np.min(x) > 0.0
         except np.linalg.LinAlgError as exc:
             if sigma >= hi:
@@ -430,7 +413,7 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
 
 def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
         v0: np.ndarray | None = None, ceiling: float = np.inf, *,
-        ws: TiltWorkspace | None = None) -> EigenResult:
+        ws: Workspace | None = None) -> EigenResult:
     """Principal eigenvalue k_p of the tilted operator on the window.
 
     Every call solves; ``v0`` only seeds the iteration (warm start).  A cold
@@ -438,16 +421,17 @@ def k_p(m: med.MediumRealization, p: float, tol: float = 1e-8,
     bits.  ``ceiling`` is principal_eigen's: the solve stops with
     AboveCeiling once k_p is certified to exceed it.
 
-    The matrix is assembled and solved in ``ws``, a TiltWorkspace of m (a
-    fresh one when None), with the same bits either way; the returned
-    ``phi`` is a view that the next solve through ``ws`` overwrites.
+    The matrix is assembled and solved in ``ws``, a Workspace of size m.N
+    (a fresh one when None; another size raises ValueError), with the same
+    bits either way; the returned ``phi`` is a view that the next solve
+    through ``ws`` overwrites.
     """
     if ws is None:
-        ws = TiltWorkspace(m)
-    elif ws.m is not m:
-        raise ValueError("ws is a workspace of another medium")
-    return principal_eigen(ws.operator(p), tol=tol, v0=v0, ceiling=ceiling,
-                           ws=ws)
+        ws = Workspace(m.N)
+    elif ws.N != m.N:
+        raise ValueError(f"ws is a workspace of size {ws.N}, not {m.N}")
+    op = _assemble_into(m, p, *ws.diagonals(), ws.tmp)
+    return principal_eigen(op, tol=tol, v0=v0, ceiling=ceiling, ws=ws)
 
 
 def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0,
@@ -468,7 +452,7 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     the lowest k_p / p found so far, the tilt the search closes in on, and
     the residual of each is kept for the error bar at the minimizer.
 
-    The search builds one TiltWorkspace and passes it to each of its k_p
+    The search builds one Workspace and passes it to each of its k_p
     calls, so every tilt assembles and solves in it: the three diagonals,
     the sweep's vectors and one shifted solver with its LAPACK buffers.
     Each tilt overwrites the diagonals in place, with assemble_tilted's
@@ -492,7 +476,7 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
     bounds: dict[float, float] = {}  # p -> lower bound on k_p, if unsolved
     sweeps = failed = stopped = 0
 
-    ws = TiltWorkspace(m)
+    ws = Workspace(m.N)
 
     def g(p: float, ceiling: float) -> float:
         nonlocal best_g, sweeps, failed, stopped
@@ -535,8 +519,8 @@ def speed_from_kp(m: med.MediumRealization, p_lo: float = 0.2, p_hi: float = 5.0
 def kp_curve(m: med.MediumRealization, ps, tol: float = 1e-8) -> np.ndarray:
     """Array of (p, k_p) rows for a grid of tilts.
 
-    Each tilt is solved cold by k_p, in one TiltWorkspace passed to every
-    call.
+    Each tilt is solved cold by k_p, in one Workspace of size m.N passed
+    to every call.
     """
-    ws = TiltWorkspace(m)
+    ws = Workspace(m.N)
     return np.array([[p, k_p(m, p, tol=tol, ws=ws).lam] for p in ps])

@@ -58,7 +58,8 @@ def minimize_log(f, lo: float, hi: float, rel_tol: float, floor: float = 0.0):
     exact, and one that does not narrows the bracket as before, its bound
     standing in for its value in the parabola.  It stops when the bracket
     around the best point is narrower than rel_tol in t, a relative rel_tol
-    in x.
+    in x; a rel_tol that is not finite and > 0, which that test could
+    never meet, raises ValueError.
 
     Returns (x_min, f_min, evals, spread).  x_min and f_min come from an
     exact evaluation.  evals maps every evaluated point to its last value,
@@ -69,6 +70,8 @@ def minimize_log(f, lo: float, hi: float, rel_tol: float, floor: float = 0.0):
     """
     if not (0.0 <= floor <= lo < hi and lo > 0.0):
         raise ValueError("minimize_log needs 0 <= floor <= lo < hi and lo > 0")
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     # each evaluated point -> (value, the ceiling it was evaluated under)
     known: dict[float, tuple[float, float]] = {}
 

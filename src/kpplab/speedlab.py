@@ -12,6 +12,7 @@ confidence interval straddles the gate.  A suite's report payload is
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -76,7 +77,8 @@ def make_config(**overrides) -> dict:
     Raises ValueError naming any key DEFAULT_CONFIG does not have (at the
     top level or in ``pde``), so that a misspelt key cannot run silently on
     its default, or any value of another type than its default's, for
-    ``seeds`` below 1 and for a negative ``attainment_max_iters``.
+    ``seeds`` below 1, a negative ``attainment_max_iters``, a ``tol`` that
+    is not finite and a ``speed_tol`` that is not finite and > 0.
     """
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     unknown = sorted(set(overrides) - set(cfg))
@@ -95,6 +97,11 @@ def make_config(**overrides) -> dict:
     if cfg["attainment_max_iters"] < 0:
         raise ValueError("attainment_max_iters must be at least 0, got "
                          f"{cfg['attainment_max_iters']!r}")
+    if not math.isfinite(cfg["tol"]):
+        raise ValueError(f"tol must be finite, got {cfg['tol']!r}")
+    if not (math.isfinite(cfg["speed_tol"]) and cfg["speed_tol"] > 0):
+        raise ValueError("speed_tol must be finite and > 0, got "
+                         f"{cfg['speed_tol']!r}")
     return cfg
 
 
@@ -131,7 +138,7 @@ def _per_seed(config: dict, one, threads: int,
     the seeds run on a thread pool: the Perron and Hessian solves release
     the GIL in LAPACK (see ``tridiag``) and numpy's loops release it too,
     so the workers compute at the same time.  Each speed search builds its
-    own workspace (operators.TiltWorkspace) and passes it to its k_p calls,
+    own workspace (operators.Workspace) and passes it to its k_p calls,
     and each other solve makes its own buffers, so no workspace is shared
     between threads.
     """

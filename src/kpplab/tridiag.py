@@ -1,7 +1,8 @@
 """Tridiagonal linear solvers: LU (LAPACK gttrf/gttrs), cyclic (factored
 once, or one gtsv per shifted solve), and LDL^T for symmetric positive
 definite matrices (pttrf/pttrs): plain, or cyclic and shifted, factored at
-one shift for any number of solves.
+one shift for any number of solves.  The shifted solvers are tied to a
+size, not a matrix: each call takes the matrix's diagonals.
 
 gtsv, gttrf, gttrs, pttrf and pttrs are called through ctypes on the
 addresses that scipy.linalg.cython_lapack exports.  A ctypes foreign call
@@ -237,21 +238,23 @@ class CyclicTridiagonalSolver:
 
 
 class ShiftedCyclicSolver:
-    """Solves (sigma I - A) x = b for a fixed cyclic tridiagonal A, any sigma.
+    """Solves (sigma I - A) x = b for any cyclic tridiagonal n x n A and sigma.
 
     For a caller whose shift moves between solves (the Perron bisection):
     each solve factors and solves in one LAPACK dgtsv call on the two
     right-hand sides [b, w] of the corner split, where a CyclicTridiagonalSolver built
     for the same shift would spend a gttrf and two gttrs.  dgtsv runs
     gttrf's elimination and gttrs's substitution, so the result is the same
-    to the last bit.  The LAPACK buffers and the dgtsv argument list are
-    built here, once; every solve overwrites the buffers in place and calls
-    dgtsv with the GIL released.  A solver serves one thread at a time.
+    to the last bit.  Each solve takes A's diagonals, as in
+    CyclicTridiagonalSolver.  The LAPACK buffers and the dgtsv argument
+    list are built here, once; every solve overwrites the buffers in place
+    and calls dgtsv with the GIL released.  A solver serves one thread at a
+    time.
     """
 
-    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
-        n = _check_diagonals(sub, diag, sup, 3)
-        self._sub, self._diag, self._sup = sub, diag, sup
+    def __init__(self, n: int):
+        if n < 3:
+            raise ValueError("cyclic tridiagonal system needs n >= 3")
         self._dl = np.empty(n - 1)
         self._d = np.empty(n)
         self._du = np.empty(n - 1)
@@ -265,13 +268,17 @@ class ShiftedCyclicSolver:
                       _address(self._d), _address(self._du),
                       _address(self._rhs), addr(self._n), addr(self._info))
 
-    def solve(self, sigma: float, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the solution into out (which may be b) and return it."""
+    def solve(self, sigma: float, sub: np.ndarray, diag: np.ndarray,
+              sup: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the solution into out (which may be b) and return it;
+        diagonals of another length than n raise ValueError."""
         d, rhs = self._d, self._rhs
-        np.negative(self._sub[1:], out=self._dl)
-        np.subtract(sigma, self._diag, out=d)
-        np.negative(self._sup[:-1], out=self._du)
-        zn = _split_corners(-self._sub[0], -self._sup[-1], d, rhs[1])
+        if _check_diagonals(sub, diag, sup, 3) != d.shape[0]:
+            raise ValueError("diagonals of another size than the solver's")
+        np.negative(sub[1:], out=self._dl)
+        np.subtract(sigma, diag, out=d)
+        np.negative(sup[:-1], out=self._du)
+        zn = _split_corners(-sub[0], -sup[-1], d, rhs[1])
         rhs[0] = b
         _dgtsv(*self._args)
         if self._info.value != 0:
@@ -281,11 +288,11 @@ class ShiftedCyclicSolver:
 
 
 class ShiftedSPDCyclicSolver:
-    """LDL^T solves of (sigma I - A) x = b for a fixed symmetric cyclic
-    tridiagonal A, any sigma, each factorization certifying sigma I - A
+    """LDL^T solves of (sigma I - A) x = b for symmetric cyclic tridiagonal
+    n x n matrices A, any sigma, each factorization certifying sigma I - A
     positive definite.
 
-    diag holds A's n diagonal entries and off[i] couples nodes i and i + 1
+    A's diagonal diag holds n entries and off[i] couples nodes i and i + 1
     mod n, so off[n-1] is the corner entry.  The corner split of
     M = sigma I - A, M = T + w z^T, has z = w / gamma with
     gamma = -M[0, 0] < 0, so T = M + w w^T / |gamma| is positive definite
@@ -293,9 +300,9 @@ class ShiftedSPDCyclicSolver:
     positive definite exactly when 1 + z.T^{-1} w > 0.  Either test failing,
     or M[0, 0] <= 0, raises NotPositiveDefinite: sigma I - A is positive
     definite, that is sigma lies above A's top eigenvalue, exactly when
-    factor(sigma) returns.
+    factor(sigma, diag, off) returns.
 
-    factor(sigma) makes one pttrf and one pttrs (for T^{-1} w), and each
+    factor makes one pttrf and one pttrs (for T^{-1} w), and each
     solve_factored(b) after it one pttrs, in place: the symmetric Perron
     bisection factors at every shift and solves once, and a drift-descent
     Newton step factors twice (certifying its eigenvalue, then the Newton
@@ -304,13 +311,9 @@ class ShiftedSPDCyclicSolver:
     A solver serves one thread at a time.
     """
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray):
-        n = diag.shape[0]
+    def __init__(self, n: int):
         if n < 3:
             raise ValueError("cyclic tridiagonal system needs n >= 3")
-        if diag.shape != (n,) or np.shape(off) != (n,):
-            raise ValueError("diag and off must be vectors of one length")
-        self._diag, self._off = diag, off
         self._d = np.empty(n)
         self._e = np.empty(n - 1)
         self._q = np.empty(n)  # w, then q = T^{-1} w once factored
@@ -329,15 +332,18 @@ class ShiftedSPDCyclicSolver:
         if self._info.value != 0:
             raise np.linalg.LinAlgError(f"pttrs failed (info={self._info.value})")
 
-    def factor(self, sigma: float) -> None:
+    def factor(self, sigma: float, diag: np.ndarray, off: np.ndarray) -> None:
         """Factor sigma I - A for solve_factored; NotPositiveDefinite unless
-        sigma lies above A's top eigenvalue."""
+        sigma lies above A's top eigenvalue.  Diagonals of another length
+        than n raise ValueError."""
         d = self._d
-        np.subtract(sigma, self._diag, out=d)
-        np.negative(self._off[:-1], out=self._e)
+        if not diag.shape == np.shape(off) == d.shape:
+            raise ValueError("diag and off must have the solver's size")
+        np.subtract(sigma, diag, out=d)
+        np.negative(off[:-1], out=self._e)
         if not d[0] > 0.0:
             raise NotPositiveDefinite("cyclic matrix has diag[0] <= 0")
-        corner = -self._off[-1]
+        corner = -off[-1]
         self._zn = _split_corners(corner, corner, d, self._q)
         _dpttrf(*self._factor_args)
         info = self._info.value

@@ -227,13 +227,13 @@ def _shifted_factor(diag, off, lam):
     tridiagonal matrix with diagonal diag and off-diagonals off.
 
     The matrix is positive definite exactly when lam + delta lies above T's
-    top eigenvalue, so for T = S_p(theta) the constructor's
+    top eigenvalue, so for T = S_p(theta) the factorization's
     NotPositiveDefinite says that lam is not its top eigenvalue (to within
     delta).
     """
     delta = 1e-8 * max(abs(lam), 1.0)
-    solver = ShiftedSPDCyclicSolver(diag, off)
-    solver.factor(lam + delta)
+    solver = ShiftedSPDCyclicSolver(diag.shape[0])
+    solver.factor(lam + delta, diag, off)
     return solver
 
 

@@ -100,10 +100,20 @@ def test_unknown_config_key_is_rejected_before_any_output(tmp_path, capsys):
      "config key kappa_grid must be a list of numbers"),
     (["medium", "sample"], {"pde": {"dt": "0.05"}},
      "config key pde.dt must be a number"),
+    # a speed search on such a tolerance would never stop (at 0 or below)
+    # or never converge (NaN); refused even where no search runs
+    (["medium", "sample"], {"speed_tol": 0}, "speed_tol must be finite and > 0"),
+    (["medium", "sample"], {"speed_tol": -1.0},
+     "speed_tol must be finite and > 0"),
+    (["medium", "sample"], {"speed_tol": float("nan")},
+     "speed_tol must be finite and > 0"),
+    (["medium", "sample"], {"tol": float("inf")}, "tol must be finite"),
+    (["--tol", "nan", "eigen", "kp"], {}, "tol must be finite"),
 ], ids=["bad_ensemble", "bad_grid", "refused_suite", "missing_config",
         "not_an_object", "string_X", "float_seeds", "bool_seeds",
         "float_master_seed", "string_ensemble", "string_in_grid",
-        "string_pde_value"])
+        "string_pde_value", "zero_speed_tol", "negative_speed_tol",
+        "nan_speed_tol", "infinite_tol", "nan_tol_flag"])
 def test_refused_input_is_a_usage_error(tmp_path, capsys, argv, overrides,
                                         message):
     # one usage line and exit code 2, and nothing written; None stands for

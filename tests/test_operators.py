@@ -1,6 +1,7 @@
 import ctypes
 import gc
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -124,11 +125,11 @@ def _shifted_systems():
 def test_shifted_solve_matches_factored_solver_bitwise(sub, diag, sup, sigma):
     b = np.random.default_rng(5).random(diag.shape[0]) + 0.1
     ref = CyclicTridiagonalSolver(-sub, sigma - diag, -sup).solve(b)
-    solver = ShiftedCyclicSolver(sub, diag, sup)
+    solver = ShiftedCyclicSolver(diag.shape[0])
     out = np.empty_like(b)
     for _ in range(2):  # the buffers are overwritten in place on every solve
-        assert np.array_equal(solver.solve(sigma, b, out), ref)
-    assert solver.solve(sigma, b.copy(), out=b) is b
+        assert np.array_equal(solver.solve(sigma, sub, diag, sup, b, out), ref)
+    assert solver.solve(sigma, sub, diag, sup, b.copy(), out=b) is b
     assert np.array_equal(b, ref)
 
 
@@ -246,8 +247,8 @@ def test_a_false_failed_test_is_caught_at_once(monkeypatch):
     solve = ShiftedCyclicSolver.solve
     flipped = []
 
-    def flipping(self, sigma, b, out):
-        x = solve(self, sigma, b, out)
+    def flipping(self, sigma, sub, diag, sup, b, out):
+        x = solve(self, sigma, sub, diag, sup, b, out)
         if sigma > top and not flipped:
             flipped.append(sigma)
             x[-1] = -x[-1]
@@ -271,8 +272,8 @@ def test_a_failed_test_whose_bounds_lie_below_its_shift_stops_there(
     solve = ShiftedCyclicSolver.solve
     shifts = []
 
-    def negating(self, sigma, b, out):
-        x = solve(self, sigma, b, out)
+    def negating(self, sigma, sub, diag, sup, b, out):
+        x = solve(self, sigma, sub, diag, sup, b, out)
         shifts.append(sigma)
         if sigma > cold.lam:
             np.negative(x, out=x)
@@ -297,9 +298,9 @@ def test_a_failed_test_with_a_non_finite_solution_is_skipped(monkeypatch):
     poisoned = []
     finite_rhs = []
 
-    def poisoning(self, sigma, b, out):
+    def poisoning(self, sigma, sub, diag, sup, b, out):
         finite_rhs.append(np.all(np.isfinite(b)))
-        x = solve(self, sigma, b, out)
+        x = solve(self, sigma, sub, diag, sup, b, out)
         if np.min(x) <= 0.0:
             poisoned.append(sigma)
             x[len(x) // 2] = np.nan
@@ -479,6 +480,38 @@ def test_bracket_failure():
             minimize_log(f, 1.0, 2.0, 1e-4, floor=floor)
     with pytest.raises(ValueError):
         minimize_log(lambda x, ceiling: x, 1.0, 2.0, 1e-4, floor=1.5)
+
+
+def _within(seconds, fn):
+    """fn(), interrupted with TimeoutError once seconds have passed: a
+    search that spins would otherwise never return."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+def test_minimize_log_refuses_a_tolerance_it_cannot_meet(rel_tol):
+    # at rel_tol <= 0 or NaN Brent's stopping test never passes, and the
+    # search spins for ever; it is refused before any evaluation
+    calls = []
+
+    def f(x, ceiling):
+        calls.append(x)
+        if len(calls) > 1000:
+            raise RuntimeError("the search does not stop")
+        return x + 1.0 / x
+
+    with pytest.raises(ValueError, match="rel_tol"):
+        _within(5.0, lambda: minimize_log(f, 0.3, 3.0, rel_tol))
+    assert calls == []
 
 
 def test_minimize_log_from_bracket():
@@ -697,36 +730,65 @@ def test_speed_search_builds_one_solver(monkeypatch):
     assert built == [0, 1]
 
 
-def test_workspace_solves_match_fresh_solves():
+def test_workspace_solves_match_fresh_solves(monkeypatch):
     # solves through one workspace, some stopped at a ceiling, leave nothing
     # behind that a later solve reads: each completed solve has the bits of
     # the same solve in fresh buffers
     m = dimer_medium(X=100.0, h=0.02, jitter=0.3)
-    ws = ops.TiltWorkspace(m)
+    ws = ops.Workspace(m.N)
     warm = None
     for p, below in [(0.8, 1e-3), (1.3, None), (-0.6, None), (0.0, 1e-6),
                      (0.0, None), (2.0, 1e-2), (0.5, None), (1.3, None)]:
         fresh = ops.assemble_tilted(m, p)
-        op = ws.operator(p)
-        for name in ("sub", "diag", "sup"):
-            assert np.array_equal(getattr(op, name), getattr(fresh, name))
         if below is not None:
             ceiling = ops.principal_eigen(fresh, tol=1e-10).lam - below
             with pytest.raises(ops.AboveCeiling):
-                ops.principal_eigen(op, tol=1e-10, v0=warm, ceiling=ceiling,
-                                    ws=ws)
+                ops.k_p(m, p, tol=1e-10, v0=warm, ceiling=ceiling, ws=ws)
             continue
         ref = ops.principal_eigen(fresh, tol=1e-10, v0=warm)
-        res = ops.principal_eigen(op, tol=1e-10, v0=warm, ws=ws)
+        res = ops.k_p(m, p, tol=1e-10, v0=warm, ws=ws)
         assert (res.lam, res.iters, res.failed_tests, res.residual) == (
             ref.lam, ref.iters, ref.failed_tests, ref.residual)
         assert np.array_equal(res.phi, ref.phi)
+        # the workspace's diagonals hold the tilt's matrix, bit for bit
+        for got, want in zip(ws.diagonals(), (fresh.sub, fresh.diag,
+                                              fresh.sup)):
+            assert np.array_equal(got, want)
         warm = ref.phi
-    with pytest.raises(ValueError, match="another matrix"):
-        ops.principal_eigen(ops.assemble_tilted(m, 0.5), ws=ws)
-    other = dimer_medium(X=100.0, h=0.02, jitter=0.3)
-    with pytest.raises(ValueError, match="another medium"):
-        ops.k_p(m, 0.5, ws=ops.TiltWorkspace(other))
+    # a workspace of another size is refused before any solve, and k_p
+    # leaves its diagonals as they were
+    kept = [arr.copy() for arr in ws.diagonals()]
+    calls = _count_lapack(monkeypatch)
+    small = dimer_medium(X=50.0, h=0.02, jitter=0.3)
+    for p in (0.0, 0.5):
+        with pytest.raises(ValueError, match="size"):
+            ops.principal_eigen(ops.assemble_tilted(small, p), ws=ws)
+        with pytest.raises(ValueError, match="size"):
+            ops.k_p(small, p, ws=ws)
+        with pytest.raises(ValueError, match="size"):
+            ops.k_p(m, p, ws=ops.Workspace(small.N))
+    assert all(n == 0 for n in calls.values())
+    assert all(np.array_equal(a, b) for a, b in zip(ws.diagonals(), kept))
+
+
+def test_one_workspace_serves_two_media_of_one_size():
+    # a workspace is tied to a size, not to a medium: k_p on two media of
+    # the same N, called alternately through one workspace, gives each
+    # solve the bits of a fresh one
+    media = [dimer_medium(X=100.0, h=0.02, jitter=0.3, stream=s)
+             for s in (0, 1)]
+    assert media[0].N == media[1].N
+    assert not np.array_equal(media[0].c, media[1].c)
+    ws = ops.Workspace(media[0].N)
+    warm = [None, None]
+    for p in (0.8, 0.0, -0.5, 1.3, 0.0):
+        for i, m in enumerate(media):
+            ref = ops.k_p(m, p, tol=1e-10, v0=warm[i])
+            res = ops.k_p(m, p, tol=1e-10, v0=warm[i], ws=ws)
+            assert (res.lam, res.iters, res.failed_tests, res.residual) == (
+                ref.lam, ref.iters, ref.failed_tests, ref.residual)
+            assert np.array_equal(res.phi, ref.phi)
+            warm[i] = ref.phi
 
 
 def test_returned_phi_is_not_a_shared_buffer():

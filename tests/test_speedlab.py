@@ -42,6 +42,18 @@ def test_make_config_rejects_unknown_keys_and_no_seeds():
     assert lab.make_config(pde={"T": 10.0})["pde"]["dt"] == 0.05
 
 
+@pytest.mark.parametrize("key,value", [
+    ("speed_tol", 0), ("speed_tol", 0.0), ("speed_tol", -1e-4),
+    ("speed_tol", float("nan")), ("speed_tol", float("inf")),
+    ("tol", float("nan")), ("tol", float("inf")), ("tol", -float("inf")),
+])
+def test_make_config_rejects_a_tolerance_no_search_can_meet(key, value):
+    # Brent's stopping test never passes at a speed_tol <= 0, and a NaN
+    # tolerance makes every solve spend its whole budget
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        lab.make_config(**{key: value})
+
+
 def test_make_config_rejects_a_negative_descent_budget():
     with pytest.raises(ValueError,
                        match="attainment_max_iters must be at least 0"):

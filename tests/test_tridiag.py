@@ -68,17 +68,43 @@ def test_zero_pivot_raises_linalg_error():
         TridiagonalSolver(np.zeros(3), np.zeros(3), np.zeros(3))
     # corner-free A with sigma - A = diag(1, 0, 1): T = diag(2, 0, 1) after
     # the corner split, so gtsv meets a zero pivot in row 2
-    solver = ShiftedCyclicSolver(np.zeros(3), np.array([0.0, 1.0, 0.0]),
-                                 np.zeros(3))
     with pytest.raises(np.linalg.LinAlgError, match="gtsv"):
-        solver.solve(1.0, np.ones(3), np.empty(3))
+        ShiftedCyclicSolver(3).solve(1.0, np.zeros(3),
+                                     np.array([0.0, 1.0, 0.0]), np.zeros(3),
+                                     np.ones(3), np.empty(3))
 
 
 @pytest.mark.parametrize("cls", [TridiagonalSolver, ShiftedCyclicSolver])
 def test_diagonals_of_unequal_length_are_rejected(cls):
     # LAPACK would read past the end of the shorter one
+    diagonals = np.ones(4), np.ones(5), np.ones(5)
     with pytest.raises(ValueError, match="one length"):
-        cls(np.ones(4), np.ones(5), np.ones(5))
+        if cls is TridiagonalSolver:
+            cls(*diagonals)
+        else:
+            cls(5).solve(1.0, *diagonals, np.ones(5), np.empty(5))
+
+
+def test_shifted_solvers_refuse_diagonals_of_another_size(monkeypatch):
+    # a solver is tied to its size: diagonals of another length are refused
+    # before LAPACK, which would read n entries behind every pointer
+    called = []
+    for name in ("_dgtsv", "_dpttrf", "_dpttrs"):
+        monkeypatch.setattr(tridiag, name,
+                            lambda *args, _name=name: called.append(_name))
+    for n in (4, 6):
+        with pytest.raises(ValueError, match="size"):
+            ShiftedCyclicSolver(5).solve(1.0, np.ones(n), np.ones(n),
+                                         np.ones(n), np.ones(n), np.empty(n))
+        with pytest.raises(ValueError, match="size"):
+            ShiftedSPDCyclicSolver(5).factor(1.0, np.ones(n), np.ones(n))
+    with pytest.raises(ValueError, match="size"):
+        ShiftedSPDCyclicSolver(5).factor(1.0, np.ones(5), np.ones(4))
+    with pytest.raises(ValueError, match="n >= 3"):
+        ShiftedCyclicSolver(2)
+    with pytest.raises(ValueError, match="n >= 3"):
+        ShiftedSPDCyclicSolver(2)
+    assert called == []
 
 
 def test_right_hand_side_of_wrong_size_is_rejected():
@@ -144,9 +170,10 @@ def _big_cyclic(n=2 ** 22):
 
 def test_shifted_solve_releases_the_gil():
     sub, diag, sup, sigma = _big_cyclic()
-    solver = ShiftedCyclicSolver(sub, diag, sup)
+    solver = ShiftedCyclicSolver(diag.shape[0])
     b, out = np.ones(diag.shape[0]), np.empty(diag.shape[0])
-    assert _stall_ratio(lambda: solver.solve(sigma, b, out)) < 0.15
+    assert _stall_ratio(
+        lambda: solver.solve(sigma, sub, diag, sup, b, out)) < 0.15
 
 
 def test_cyclic_factorization_releases_the_gil():
@@ -166,8 +193,8 @@ def _spd_cyclic(n, seed):
 
 def _factored(diag, off):
     """The solver of the matrix with diagonals (diag, off), as 0 I - A."""
-    solver = ShiftedSPDCyclicSolver(-diag, -off)
-    solver.factor(0.0)
+    solver = ShiftedSPDCyclicSolver(diag.shape[0])
+    solver.factor(0.0, -diag, -off)
     return solver
 
 
@@ -192,9 +219,9 @@ def test_spd_cyclic_solve_matches_dense(n):
     # buffers
     sigma = 0.5
     a_diag, a_off = sigma - diag, -off  # sigma I - A is the matrix above
-    solver = ShiftedSPDCyclicSolver(a_diag, a_off)
+    solver = ShiftedSPDCyclicSolver(n)
     for _ in range(2):
-        solver.factor(sigma)
+        solver.factor(sigma, a_diag, a_off)
         x = b.copy()
         solver.solve_factored(x)
         assert np.allclose(x, ref, rtol=1e-12,
@@ -213,22 +240,54 @@ def test_spd_cyclic_solve_matches_pivoted_lu():
     off = 1.0 + rng.random(n)
     diag = -(off + np.roll(off, 1)) + rng.random(n)
     sub, sup = np.roll(off, 1), off
-    ref_solver = ShiftedCyclicSolver(sub, diag, sup)
-    solver = ShiftedSPDCyclicSolver(diag, off)
+    ref_solver = ShiftedCyclicSolver(n)
+    solver = ShiftedSPDCyclicSolver(n)
     lam_max = float(np.max(np.linalg.eigvalsh(_dense_cyclic(diag, off))))
     b = rng.random(n) + 0.1
     for sigma in (lam_max + 1e-2, lam_max + 0.5):
-        ref = ref_solver.solve(sigma, b, np.empty(n))
-        solver.factor(sigma)
+        ref = ref_solver.solve(sigma, sub, diag, sup, b, np.empty(n))
+        solver.factor(sigma, diag, off)
         got = b.copy()
         solver.solve_factored(got)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_one_solver_serves_two_matrices_of_its_size():
+    # a shifted solver keeps nothing of a matrix from one call to the next:
+    # two matrices solved alternately through one solver get the bits of a
+    # solver each
+    n = 1000
+    rng = np.random.default_rng(13)
+    tilted = []
+    for _ in range(2):
+        sub, sup = 1.0 + rng.random(n), 1.0 + rng.random(n)
+        tilted.append((sub, -(sub + sup) + rng.random(n), sup))
+    symmetric = [_spd_cyclic(n, seed) for seed in (21, 22)]
+    b = rng.random(n) + 0.1
+    shared, shared_spd = ShiftedCyclicSolver(n), ShiftedSPDCyclicSolver(n)
+    own = [ShiftedCyclicSolver(n) for _ in tilted]
+    own_spd = [ShiftedSPDCyclicSolver(n) for _ in symmetric]
+    for gap in (1e-3, 0.5, 1e-3):
+        for i, (sub, diag, sup) in enumerate(tilted):
+            sigma = float(np.max(sub + diag + sup)) + gap
+            got = shared.solve(sigma, sub, diag, sup, b, np.empty(n))
+            ref = own[i].solve(sigma, sub, diag, sup, b, np.empty(n))
+            assert np.array_equal(got, ref)
+        for i, (diag, off) in enumerate(symmetric):
+            # sigma I - A for A = -(the positive definite matrix)
+            shared_spd.factor(gap, -diag, -off)
+            own_spd[i].factor(gap, -diag, -off)
+            got, ref = b.copy(), b.copy()
+            shared_spd.solve_factored(got)
+            own_spd[i].solve_factored(ref)
+            assert np.array_equal(got, ref)
+
+
 def _laplacian_shift(n, sigma):
     """Factor sigma I - A for the cyclic A = tridiag(1, -2, 1), whose top
     eigenvalue is 0 and whose next two are -2 + 2 cos(2 pi / n)."""
-    ShiftedSPDCyclicSolver(np.full(n, -2.0), np.full(n, 1.0)).factor(sigma)
+    ShiftedSPDCyclicSolver(n).factor(sigma, np.full(n, -2.0),
+                                     np.full(n, 1.0))
 
 
 def test_spd_cyclic_rejects_a_shift_below_the_top_eigenvalue():
@@ -246,10 +305,11 @@ def test_spd_cyclic_rejects_a_shift_below_the_top_eigenvalue():
     _laplacian_shift(4, 1e-8)
     assert issubclass(NotPositiveDefinite, np.linalg.LinAlgError)
     # a solver whose factorization failed factors again at another shift
-    solver = ShiftedSPDCyclicSolver(np.full(1000, -2.0), np.full(1000, 1.0))
+    diag, off = np.full(1000, -2.0), np.full(1000, 1.0)
+    solver = ShiftedSPDCyclicSolver(1000)
     with pytest.raises(NotPositiveDefinite):
-        solver.factor(-1e-4)
-    solver.factor(1e-8)
+        solver.factor(-1e-4, diag, off)
+    solver.factor(1e-8, diag, off)
     solver.solve_factored(np.ones(1000))
 
 
@@ -261,7 +321,7 @@ def test_spd_cyclic_factorization_and_solve_release_the_gil():
     assert _stall_ratio(lambda: solver.solve_factored(b)) < 0.15
 
     def factor_and_solve():
-        solver.factor(0.0)
+        solver.factor(0.0, -diag, -off)
         solver.solve_factored(b)
 
     assert _stall_ratio(factor_and_solve) < 0.15

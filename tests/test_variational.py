@@ -19,7 +19,7 @@ def _assert_top_eigenvalue(m, p, theta, lam):
     grow = np.exp(m.h * theta)
     off = 0.5 * (a.sup / grow + np.roll(a.sub, -1) * grow)
     delta = 1e-8 * max(abs(lam), 1.0)
-    ShiftedSPDCyclicSolver(a.diag, off).factor(lam + delta)
+    ShiftedSPDCyclicSolver(m.N).factor(lam + delta, a.diag, off)
 
 
 def test_zero_theta_constant_potential():
@@ -230,9 +230,9 @@ def test_newton_step_factors_twice_and_solves_four_times(monkeypatch):
     calls = {"factor": 0, "solve": 0}
 
     class Counted(ShiftedSPDCyclicSolver):
-        def factor(self, sigma):
+        def factor(self, sigma, diag, off):
             calls["factor"] += 1
-            super().factor(sigma)
+            super().factor(sigma, diag, off)
 
         def solve_factored(self, b):
             calls["solve"] += 1
