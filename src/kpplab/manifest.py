@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, tridiag
 from .hashutil import canonical_json, content_hash
 from .results import write_json
 
@@ -37,7 +37,8 @@ def environment(workers: int) -> dict:
     The worker count, the numpy and scipy versions, the BLAS numpy was built
     with, the BLAS thread settings as found (None when unset) and the CPU
     count.  The tridiagonal LAPACK kernels come from scipy's own build,
-    whose LAPACK is recorded next to numpy's BLAS.
+    whose LAPACK is recorded next to numpy's BLAS, with whether kpplab's
+    load of it pinned scipy's OpenBLAS to one thread for the process.
     """
     def build(config: dict, key: str) -> str:
         dep = config["Build Dependencies"][key]
@@ -51,6 +52,7 @@ def environment(workers: int) -> dict:
         "scipy_lapack": build(scipy.show_config(mode="dicts"), "lapack"),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "scipy_blas_threads_pinned": tridiag.SCIPY_BLAS_THREADS_PINNED,
         "cpu_count": os.cpu_count(),
     }
 

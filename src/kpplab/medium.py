@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # lazy in numpy 2; imported here, not in the first sampling
 
 from .hashutil import canonical_json, content_hash64, hash64
 from .results import write_json

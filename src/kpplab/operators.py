@@ -296,7 +296,10 @@ def principal_eigen(op: DiscreteOperator, tol: float = 1e-8,
     tilt: a Collatz-Wielandt minimum, a Rayleigh quotient at p = 0, or a
     failed shift.  A solve that returns has lo <= ceiling, so at p = 0
     lam <= ceiling; at p != 0 lam may exceed it by up to tol_eff/2.
+    A tol that is not finite and > 0 raises ValueError before any solve.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     symmetric = op.p == 0
     if ws is None:
         ws = Workspace(op.N)

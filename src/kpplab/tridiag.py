@@ -11,15 +11,66 @@ gtsv, gttrf, pttrf and pttrs hold it, so the suites' worker threads can
 solve at the same time.  Each solver
 owns its LAPACK buffers and builds its argument list once, so a solve
 takes at most one new address and shares no scratch with another solver.
+
+cython_lapack is loaded from its extension file under scipy's package
+directory, by the name it has in scipy, without running
+scipy.linalg/__init__: that import pulls in numpy.f2py, numpy.testing,
+numpy.ma and scipy's array-API layer, none of which kpplab uses, and took
+about half of ``import kpplab``'s time and a quarter of a small run's peak
+RSS.  A later ``from scipy.linalg import cython_lapack`` returns the same
+module.  When scipy.linalg is already imported, the ordinary import serves.
+Loading the file loads scipy's own OpenBLAS, whose helper threads would
+spin on a core for tens of milliseconds after load; when the caller set
+neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS, the load runs with
+OPENBLAS_NUM_THREADS=1, and the variable is deleted again.  The five
+routines are single-threaded, so no result changes, but scipy's BLAS stays
+single-threaded for the rest of the process; SCIPY_BLAS_THREADS_PINNED
+says whether this load pinned it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
 import re
+import sys
 
 import numpy as np
-from scipy.linalg import cython_lapack
+import scipy
+
+_LAPACK_MODULE = "scipy.linalg.cython_lapack"
+
+
+def _load_cython_lapack():
+    """scipy.linalg.cython_lapack, and whether loading it pinned scipy's
+    OpenBLAS to one thread; ImportError if scipy has no such extension."""
+    if "scipy.linalg" in sys.modules or _LAPACK_MODULE in sys.modules:
+        from scipy.linalg import cython_lapack
+        return cython_lapack, False
+    paths = [os.path.join(base, "linalg", "cython_lapack" + suffix)
+             for base in scipy.__path__
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no {_LAPACK_MODULE} extension among {paths}")
+    spec = importlib.util.spec_from_file_location(_LAPACK_MODULE, path)
+    pin = ("OPENBLAS_NUM_THREADS" not in os.environ
+           and "OMP_NUM_THREADS" not in os.environ)
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        module = importlib.util.module_from_spec(spec)  # dlopens OpenBLAS
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    sys.modules[_LAPACK_MODULE] = module
+    spec.loader.exec_module(module)
+    return module, pin
+
+
+cython_lapack, SCIPY_BLAS_THREADS_PINNED = _load_cython_lapack()
 
 _capsule_name = ctypes.pythonapi.PyCapsule_GetName
 _capsule_name.argtypes = [ctypes.py_object]

@@ -514,6 +514,25 @@ def test_minimize_log_refuses_a_tolerance_it_cannot_meet(rel_tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_eigen_solves_refuse_a_tolerance_that_is_not_finite_and_positive(
+        monkeypatch, tol):
+    # a NaN tol made the stopping width NaN, so the bracket never closed and
+    # the solve spent all MAX_ITERS shifted solves; every entry point refuses
+    # such a tol before any solve
+    def solve(*args):
+        raise AssertionError("a refused tol reached a shifted solve")
+
+    monkeypatch.setattr(ShiftedCyclicSolver, "solve", solve)
+    monkeypatch.setattr(tridiag.ShiftedSPDCyclicSolver, "factor", solve)
+    m = dimer_medium(X=20.0, h=0.02)
+    for call in (lambda: ops.k_p(m, 0.5, tol=tol),
+                 lambda: ops.kp_curve(m, [0.0, 0.5], tol=tol),
+                 lambda: ops.speed_from_kp(m, 0.3, 3.0, eig_tol=tol)):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            call()
+
+
 def test_minimize_log_from_bracket():
     calls = []
 

@@ -204,7 +204,8 @@ def test_run_suite_writes_reproducible_payloads(tmp_path):
     assert json.loads((tmp_path / "run2" / "manifest.json").read_text())[
         "environment"]["workers"] == 2
     assert {"numpy", "scipy", "blas", "scipy_lapack", "OPENBLAS_NUM_THREADS",
-            "OMP_NUM_THREADS", "cpu_count"} <= set(manifest["environment"])
+            "OMP_NUM_THREADS", "scipy_blas_threads_pinned",
+            "cpu_count"} <= set(manifest["environment"])
     assert {o["path"] for o in manifest["outputs"]} == {
         "eigen_properties_report.json", "eigen_properties_verdicts.csv"}
     # recorded hashes match the bytes on disk

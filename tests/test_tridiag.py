@@ -1,8 +1,13 @@
 """The LAPACK kernels behind the tridiagonal solvers, called through ctypes."""
 
 import ctypes
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +125,84 @@ def test_bindings_are_foreign_calls_that_drop_the_gil():
     for f in (tridiag._dgtsv, tridiag._dgttrf, tridiag._dgttrs,
               tridiag._dpttrf, tridiag._dpttrs):
         assert not type(f)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+def test_a_capsule_of_another_prototype_is_refused():
+    # an ILP64 build passes 64-bit ints, so its prototypes differ; binding
+    # one as if it took C ints would corrupt memory
+    with pytest.raises(ImportError, match="dgtsv has prototype"):
+        tridiag._bind("dgtsv", "void (long *, long *, double *, double *, "
+                               "double *, double *, long *, long *)")
+
+
+# Reports, as JSON, what `import kpplab` loaded and left behind.  The thread
+# count is that of the OpenBLAS bundled with scipy's wheel, where there is one.
+_IMPORT_PROBE = """
+import ctypes, glob, json, os, sys
+before = dict(os.environ)
+import kpplab
+from kpplab import manifest
+out = {"loaded": sorted(m for m in ("scipy.linalg", "numpy.f2py",
+                                    "numpy.testing", "numpy.random")
+                        if m in sys.modules),
+       "environ_kept": dict(os.environ) == before,
+       "pinned": manifest.environment(1)["scipy_blas_threads_pinned"]}
+import scipy
+from scipy.linalg import cython_lapack, lapack
+import numpy as np
+out["same_module"] = cython_lapack is kpplab.tridiag.cython_lapack
+rng = np.random.default_rng(1)
+dl, du, b = rng.random(99), rng.random(99), rng.random(100)
+d = 3.0 + rng.random(100)
+x = lapack.dgtsv(dl, d, du, b)[3]
+dense = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+out["dgtsv_error"] = float(np.max(np.abs(dense @ x - b)))
+libs = glob.glob(os.path.join(os.path.dirname(scipy.__path__[0]),
+                              "scipy.libs", "libscipy_openblas*.so"))
+out["scipy_blas_threads"] = (
+    ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads() if libs else None)
+print(json.dumps(out))
+"""
+
+
+def _probe_import(first: str = "", **env) -> dict:
+    """_IMPORT_PROBE's report from a fresh interpreter that imports kpplab
+    from this tree with neither BLAS thread variable set but those in env,
+    after running the statement first."""
+    environ = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(tridiag.__file__).resolve().parent.parent)
+    environ.update(env, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", first + "\n" + _IMPORT_PROBE],
+                          env=environ, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_only_cython_lapack_and_pins_its_blas_threads():
+    out = _probe_import()
+    # scipy.linalg's package import (and numpy.f2py and numpy.testing with
+    # it) is skipped; numpy.random is imported up front, not in a first
+    # sampling
+    assert out["loaded"] == ["numpy.random"]
+    assert out["environ_kept"] and out["pinned"]
+    assert out["scipy_blas_threads"] in (1, None)
+    # scipy.linalg, imported later, finds the module kpplab loaded
+    assert out["same_module"] and out["dgtsv_error"] < 1e-12
+
+
+@pytest.mark.parametrize("first, env", [
+    ("import scipy.linalg", {}),
+    ("", {"OMP_NUM_THREADS": "2"}),
+    ("", {"OPENBLAS_NUM_THREADS": "2"}),
+], ids=["scipy_linalg_first", "omp_threads_set", "openblas_threads_set"])
+def test_import_leaves_blas_threads_alone_when_not_first_or_set(first, env):
+    out = _probe_import(first, **env)
+    assert ("scipy.linalg" in out["loaded"]) == bool(first)
+    assert out["environ_kept"] and not out["pinned"]
+    assert out["scipy_blas_threads"] != 1 or os.cpu_count() == 1
+    assert out["same_module"] and out["dgtsv_error"] < 1e-12
 
 
 def _stall_ratio(fn, attempts=3):
